@@ -14,15 +14,18 @@ namespace flare::core {
 namespace {
 
 /// How a (possibly stddev-enriched, §4.1) schema maps onto the base metrics
-/// the counter synthesizer produces.
+/// the counter synthesizer produces, with the base columns compiled into a
+/// counter plan once per profile call.
 struct SchemaPlan {
   metrics::MetricCatalog base_catalog;      ///< non-derived metrics, dense
   std::vector<std::size_t> base_to_schema;  ///< base column -> schema column
   /// (schema column of the _Std metric, base column it derives from)
   std::vector<std::pair<std::size_t, std::size_t>> stddev_columns;
+  dcsim::CounterPlan counters;              ///< compiled over base_catalog
 };
 
-SchemaPlan plan_for(const metrics::MetricCatalog& schema) {
+SchemaPlan plan_for(const metrics::MetricCatalog& schema,
+                    const dcsim::CounterOptions& options) {
   std::vector<metrics::MetricInfo> base_metrics;
   std::vector<std::size_t> base_to_schema;
   for (const metrics::MetricInfo& m : schema.metrics()) {
@@ -32,15 +35,18 @@ SchemaPlan plan_for(const metrics::MetricCatalog& schema) {
     base_to_schema.push_back(m.index);
     base_metrics.push_back(std::move(copy));
   }
-  SchemaPlan plan{metrics::MetricCatalog(std::move(base_metrics)),
-                  std::move(base_to_schema),
-                  {}};
+  metrics::MetricCatalog base_catalog(std::move(base_metrics));
+  dcsim::CounterPlan counters(base_catalog, options);
+  SchemaPlan plan{std::move(base_catalog), std::move(base_to_schema), {},
+                  std::move(counters)};
   for (const metrics::MetricInfo& m : schema.metrics()) {
     if (!metrics::MetricCatalog::is_stddev_column(m)) continue;
     const std::string source = m.name.substr(0, m.name.size() - 4);  // strip _Std
     const auto base_index = plan.base_catalog.index_of(source);
-    ensure(base_index.has_value(),
-           "Profiler: stddev column '" + m.name + "' has no source metric");
+    if (!base_index.has_value()) {
+      throw SchemaError("Profiler: stddev column '" + m.name +
+                        "' has no source metric");
+    }
     plan.stddev_columns.emplace_back(m.index, *base_index);
   }
   return plan;
@@ -72,8 +78,8 @@ std::vector<double> read_sample(const dcsim::InterferenceModel& model,
                            0xFA17A000ull + static_cast<std::uint64_t>(attempt));
   const dcsim::ScenarioPerformance perf =
       model.evaluate(machine, scenario.mix, stream);
-  std::vector<double> sample = dcsim::synthesize_counters(
-      perf, model.catalog(), plan.base_catalog, config.counters, stream);
+  std::vector<double> sample =
+      dcsim::synthesize_counters(perf, model.catalog(), plan.counters, stream);
   // Dynamics tags (rolling-upgrade version shift, anomaly-episode
   // corruption) distort the synthesized counters deterministically; untagged
   // rows skip the overlay entirely and stay bit-identical.
@@ -113,7 +119,7 @@ metrics::MetricRow profile_one(const dcsim::InterferenceModel& model,
       const dcsim::ScenarioPerformance perf =
           model.evaluate(machine, scenario.mix, stream);
       std::vector<double> sample = dcsim::synthesize_counters(
-          perf, model.catalog(), plan.base_catalog, config.counters, stream);
+          perf, model.catalog(), plan.counters, stream);
       if (scenario.dynamic_tagged()) {
         dcsim::apply_dynamics_overlay(sample, plan.base_catalog, scenario);
       }
@@ -256,7 +262,7 @@ metrics::MetricRow Profiler::profile_scenario(
     const metrics::MetricCatalog& schema) const {
   RowHealth health;
   return profile_one(*model_, config_, fault_model_, scenario, machine, schema,
-                     plan_for(schema), health);
+                     plan_for(schema, config_.counters), health);
 }
 
 metrics::MetricDatabase Profiler::profile(const dcsim::ScenarioSet& set,
@@ -271,7 +277,7 @@ ProfileReport Profiler::profile_with_health(const dcsim::ScenarioSet& set,
                                             const metrics::MetricCatalog& schema,
                                             util::ThreadPool* shared_pool) const {
   ensure(!set.scenarios.empty(), "Profiler::profile: empty scenario set");
-  const SchemaPlan plan = plan_for(schema);
+  const SchemaPlan plan = plan_for(schema, config_.counters);
   ProfileReport report{metrics::MetricDatabase(schema), {}};
   std::unique_ptr<util::ThreadPool> owned;
   if (shared_pool == nullptr && config_.threads != 1) {

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 
 #include "util/error.hpp"
 #include "util/hash.hpp"
@@ -39,14 +40,31 @@ void write_spill(const std::string& path, const linalg::Matrix& m) {
   }
 }
 
+/// True when a `rows × cols` payload of doubles is exactly `payload_bytes`
+/// long. A corrupt or hostile header fails here — including one whose
+/// product wraps `uint64` — before it can size an allocation.
+bool payload_matches(std::uint64_t rows, std::uint64_t cols,
+                     std::uintmax_t payload_bytes) {
+  constexpr std::uint64_t kMaxDoubles =
+      std::numeric_limits<std::uint64_t>::max() / sizeof(double);
+  if (cols != 0 && rows > kMaxDoubles / cols) return false;
+  return rows * cols * sizeof(double) == payload_bytes;
+}
+
 std::optional<linalg::Matrix> read_spill(const std::string& path) {
+  std::error_code ec;
+  const std::uintmax_t file_bytes = std::filesystem::file_size(path, ec);
+  if (ec) return std::nullopt;
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return std::nullopt;
   char magic[8];
   std::uint64_t dims[2] = {0, 0};
-  bool ok = std::fread(magic, 1, sizeof(magic), f) == sizeof(magic) &&
+  constexpr std::uintmax_t kHeaderBytes = sizeof(magic) + sizeof(dims);
+  bool ok = file_bytes >= kHeaderBytes &&
+            std::fread(magic, 1, sizeof(magic), f) == sizeof(magic) &&
             std::memcmp(magic, kSpillMagic, sizeof(kSpillMagic)) == 0 &&
-            std::fread(dims, sizeof(std::uint64_t), 2, f) == 2;
+            std::fread(dims, sizeof(std::uint64_t), 2, f) == 2 &&
+            payload_matches(dims[0], dims[1], file_bytes - kHeaderBytes);
   std::vector<double> data;
   if (ok) {
     data.resize(dims[0] * dims[1]);

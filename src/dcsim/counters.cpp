@@ -1,5 +1,7 @@
 #include "dcsim/counters.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -109,152 +111,262 @@ LevelAggregate aggregate(const ScenarioPerformance& perf, const JobCatalog& cata
   return a;
 }
 
-/// Writes the 45 per-level base metrics for one level into `out`.
+// Slots of the fixed array of produced values. The per-level counters occupy
+// one block per level (Machine, then HP), the machine-only counters and the
+// per-job mix occupancy follow. Names are resolved against these tables once,
+// when a CounterPlan is compiled; synthesis itself only indexes.
+
+/// Counters produced at both levels, in `kLevelCounterNames` order.
+enum LevelCounter : std::uint16_t {
+  kMips, kIpc, kCpi, kInstrPerSec, kCyclesPerSec, kLlcApki, kLlcMpki,
+  kLlcMissRatio, kLlcHitRatio, kLlcMissesPerSec, kLlcAccessesPerSec,
+  kLlcOccupancyMb, kL2Mpki, kL1dMpki, kL1iMpki, kTlbMpki, kBranchMpki,
+  kBranchMispredRatio, kLoadPki, kStorePki, kMemBwGbps, kMemBwBytesPerSec,
+  kMemReadBwGbps, kMemWriteBwGbps, kEffMemLatencyNs, kDramUsedGb,
+  kTdFrontendBound, kTdBadSpeculation, kTdRetiring, kTdBackendBound,
+  kTdBackendMem, kTdBackendCore, kCpuUtilFrac, kVcpusBusy, kAluUtilFrac,
+  kFpUtilFrac, kSpinFrac, kNetworkMbps, kDiskIops, kIoWaitFrac,
+  kContextSwitchesPerSec, kPageFaultsPerSec, kIrqPerSec, kSoftIrqPerSec,
+  kRunQueueLen, kUopsPerInstr, kAvgLoadLatencyCycles, kPrefetchPerKi,
+  kStallCycleFrac, kDispatchStallFrac, kMemQueueOccupancy, kKernelTimeFrac,
+  kUserTimeFrac,
+  kNumLevelCounters,
+};
+
+constexpr std::string_view kLevelCounterNames[kNumLevelCounters] = {
+    "MIPS", "IPC", "CPI", "InstrPerSec", "CyclesPerSec", "LLC_APKI", "LLC_MPKI",
+    "LLC_MissRatio", "LLC_HitRatio", "LLC_MissesPerSec", "LLC_AccessesPerSec",
+    "LLC_Occupancy_MB", "L2_MPKI", "L1D_MPKI", "L1I_MPKI", "TLB_MPKI",
+    "Branch_MPKI", "BranchMispredRatio", "LoadPKI", "StorePKI", "MemBW_GBps",
+    "MemBW_BytesPerSec", "MemReadBW_GBps", "MemWriteBW_GBps",
+    "EffMemLatency_ns", "DRAM_Used_GB", "TD_FrontendBound",
+    "TD_BadSpeculation", "TD_Retiring", "TD_BackendBound", "TD_BackendMem",
+    "TD_BackendCore", "CPU_UtilFrac", "VCPUsBusy", "ALU_UtilFrac",
+    "FP_UtilFrac", "SpinFrac", "Network_Mbps", "Disk_IOPS", "IOWaitFrac",
+    "ContextSwitchesPerSec", "PageFaultsPerSec", "IRQPerSec", "SoftIRQPerSec",
+    "RunQueueLen", "UopsPerInstr", "AvgLoadLatency_cycles", "PrefetchPerKI",
+    "StallCycleFrac", "DispatchStallFrac", "MemQueueOccupancy",
+    "KernelTimeFrac", "UserTimeFrac",
+};
+
+/// Counters produced at machine scope only, in `kMachineCounterNames` order.
+enum MachineCounter : std::uint16_t {
+  kTotalOccupancyVcpu, kHpOccupancyVcpu, kLpOccupancyVcpu, kFreeVcpus,
+  kNumContainers, kNumHpContainers, kNumLpContainers, kDramUtilFrac,
+  kMemBwUtilFrac, kMemLatencyMultiplier, kNetworkUtilFrac, kFreqGhz,
+  kSmtSharedFrac, kPowerW, kTemperatureC, kFanSpeedRpm,
+  kNumMachineCounters,
+};
+
+constexpr std::string_view kMachineCounterNames[kNumMachineCounters] = {
+    "TotalOccupancy_vCPU", "HPOccupancy_vCPU", "LPOccupancy_vCPU", "FreeVCPUs",
+    "NumContainers", "NumHPContainers", "NumLPContainers", "DRAM_UtilFrac",
+    "MemBW_UtilFrac", "MemLatencyMultiplier", "NetworkUtilFrac", "Freq_GHz",
+    "SMTSharedFrac", "Power_W", "Temperature_C", "FanSpeed_RPM",
+};
+
+constexpr std::size_t kMachineLevelSlots = 0;
+constexpr std::size_t kHpLevelSlots = kMachineLevelSlots + kNumLevelCounters;
+constexpr std::size_t kMachineSlots = kHpLevelSlots + kNumLevelCounters;
+constexpr std::size_t kMixSlots = kMachineSlots + kNumMachineCounters;
+constexpr std::size_t kNumSlots = kMixSlots + kNumJobTypes;
+
+using ProducedValues = std::array<double, kNumSlots>;
+
+/// Fully qualified metric name -> slot, recorded once per process.
+const std::unordered_map<std::string, std::uint16_t>& slot_by_name() {
+  static const std::unordered_map<std::string, std::uint16_t> kSlots = [] {
+    std::unordered_map<std::string, std::uint16_t> slots;
+    const auto add = [&](std::string name, std::size_t slot) {
+      slots.emplace(std::move(name), static_cast<std::uint16_t>(slot));
+    };
+    for (std::size_t c = 0; c < kNumLevelCounters; ++c) {
+      add("Machine." + std::string(kLevelCounterNames[c]), kMachineLevelSlots + c);
+      add("HP." + std::string(kLevelCounterNames[c]), kHpLevelSlots + c);
+    }
+    for (std::size_t c = 0; c < kNumMachineCounters; ++c) {
+      add("Machine." + std::string(kMachineCounterNames[c]), kMachineSlots + c);
+    }
+    // Per-job mix occupancy (consumed only by the opt-in §5.3 schema
+    // standard_with_job_mix()).
+    for (const JobType type : all_job_types()) {
+      add("Machine.Mix_" + std::string(job_code(type)) + "_Instances",
+          kMixSlots + job_index(type));
+    }
+    return slots;
+  }();
+  return kSlots;
+}
+
+/// Writes the per-level counters for one level into `out[0, kNumLevelCounters)`.
 void fill_level(const LevelAggregate& a, const ScenarioPerformance& perf,
-                const MachineConfig& machine, std::string_view prefix,
-                std::unordered_map<std::string, double>& out) {
-  const auto set = [&](const char* base, double value) {
-    out[std::string(prefix) + "." + base] = value;
-  };
+                const MachineConfig& machine, double* out) {
   const double instr_per_sec = a.mips * 1e6;
   const double ipc = a.cycles_per_sec > 0.0 ? instr_per_sec / a.cycles_per_sec : 0.0;
 
-  set("MIPS", a.mips);
-  set("IPC", ipc);
-  set("CPI", ipc > 0.0 ? 1.0 / ipc : 0.0);
-  set("InstrPerSec", instr_per_sec);
-  set("CyclesPerSec", a.cycles_per_sec);
-  set("LLC_APKI", a.llc_apki);
-  set("LLC_MPKI", a.llc_mpki);
-  set("LLC_MissRatio", a.llc_miss_ratio);
-  set("LLC_HitRatio", 1.0 - a.llc_miss_ratio);
-  set("LLC_MissesPerSec", instr_per_sec * a.llc_mpki / 1000.0);
-  set("LLC_AccessesPerSec", instr_per_sec * a.llc_apki / 1000.0);
-  set("LLC_Occupancy_MB", a.llc_occupancy_mb);
-  set("L2_MPKI", 1.15 * a.llc_apki);
-  set("L1D_MPKI", a.l1d_mpki);
-  set("L1I_MPKI", a.l1i_mpki);
-  set("TLB_MPKI", a.tlb_mpki);
-  set("Branch_MPKI", a.branch_mpki);
-  set("BranchMispredRatio", a.br_mispred_ratio);
-  set("LoadPKI", a.load_pki);
-  set("StorePKI", a.store_pki);
-  set("MemBW_GBps", a.mem_bw_gbps);
-  set("MemBW_BytesPerSec", a.mem_bw_gbps * 1e9);
-  set("MemReadBW_GBps", 0.7 * a.mem_bw_gbps);
-  set("MemWriteBW_GBps", 0.3 * a.mem_bw_gbps);
-  set("EffMemLatency_ns", a.eff_mem_latency_ns);
-  set("DRAM_Used_GB", a.dram_gb);
-  set("TD_FrontendBound", a.td_fe);
-  set("TD_BadSpeculation", a.td_bs);
-  set("TD_Retiring", a.td_ret);
-  set("TD_BackendBound", a.td_mem + a.td_core);
-  set("TD_BackendMem", a.td_mem);
-  set("TD_BackendCore", a.td_core);
-  set("CPU_UtilFrac",
-      a.busy_threads / static_cast<double>(machine.scheduling_vcpus()));
-  set("VCPUsBusy", a.busy_threads);
-  set("ALU_UtilFrac", a.alu_util);
-  set("FP_UtilFrac", a.fp_util);
-  set("SpinFrac", a.spin);
-  set("Network_Mbps", a.network_mbps);
-  set("Disk_IOPS", a.disk_iops);
-  set("IOWaitFrac", a.disk_iops / (machine.disk_kiops * 1000.0));
+  out[kMips] = a.mips;
+  out[kIpc] = ipc;
+  out[kCpi] = ipc > 0.0 ? 1.0 / ipc : 0.0;
+  out[kInstrPerSec] = instr_per_sec;
+  out[kCyclesPerSec] = a.cycles_per_sec;
+  out[kLlcApki] = a.llc_apki;
+  out[kLlcMpki] = a.llc_mpki;
+  out[kLlcMissRatio] = a.llc_miss_ratio;
+  out[kLlcHitRatio] = 1.0 - a.llc_miss_ratio;
+  out[kLlcMissesPerSec] = instr_per_sec * a.llc_mpki / 1000.0;
+  out[kLlcAccessesPerSec] = instr_per_sec * a.llc_apki / 1000.0;
+  out[kLlcOccupancyMb] = a.llc_occupancy_mb;
+  out[kL2Mpki] = 1.15 * a.llc_apki;
+  out[kL1dMpki] = a.l1d_mpki;
+  out[kL1iMpki] = a.l1i_mpki;
+  out[kTlbMpki] = a.tlb_mpki;
+  out[kBranchMpki] = a.branch_mpki;
+  out[kBranchMispredRatio] = a.br_mispred_ratio;
+  out[kLoadPki] = a.load_pki;
+  out[kStorePki] = a.store_pki;
+  out[kMemBwGbps] = a.mem_bw_gbps;
+  out[kMemBwBytesPerSec] = a.mem_bw_gbps * 1e9;
+  out[kMemReadBwGbps] = 0.7 * a.mem_bw_gbps;
+  out[kMemWriteBwGbps] = 0.3 * a.mem_bw_gbps;
+  out[kEffMemLatencyNs] = a.eff_mem_latency_ns;
+  out[kDramUsedGb] = a.dram_gb;
+  out[kTdFrontendBound] = a.td_fe;
+  out[kTdBadSpeculation] = a.td_bs;
+  out[kTdRetiring] = a.td_ret;
+  out[kTdBackendBound] = a.td_mem + a.td_core;
+  out[kTdBackendMem] = a.td_mem;
+  out[kTdBackendCore] = a.td_core;
+  out[kCpuUtilFrac] =
+      a.busy_threads / static_cast<double>(machine.scheduling_vcpus());
+  out[kVcpusBusy] = a.busy_threads;
+  out[kAluUtilFrac] = a.alu_util;
+  out[kFpUtilFrac] = a.fp_util;
+  out[kSpinFrac] = a.spin;
+  out[kNetworkMbps] = a.network_mbps;
+  out[kDiskIops] = a.disk_iops;
+  out[kIoWaitFrac] = a.disk_iops / (machine.disk_kiops * 1000.0);
 
   // /proc-style system counters.
   const double oversub = std::max(
       perf.busy_threads / static_cast<double>(machine.hardware_threads()) - 1.0, 0.0);
-  set("ContextSwitchesPerSec",
-      a.context_switches + 3000.0 * oversub * a.busy_threads);
-  set("PageFaultsPerSec", a.dram_gb * 25.0);
+  out[kContextSwitchesPerSec] =
+      a.context_switches + 3000.0 * oversub * a.busy_threads;
+  out[kPageFaultsPerSec] = a.dram_gb * 25.0;
   const double irq = a.network_mbps * 12.0 + a.disk_iops * 1.5;
-  set("IRQPerSec", irq);
-  set("SoftIRQPerSec", 0.6 * irq);
-  set("RunQueueLen",
+  out[kIrqPerSec] = irq;
+  out[kSoftIrqPerSec] = 0.6 * irq;
+  out[kRunQueueLen] =
       std::max(perf.busy_threads - static_cast<double>(machine.hardware_threads()),
                0.0) *
-          (perf.busy_threads > 0.0 ? a.busy_threads / perf.busy_threads : 0.0));
+      (perf.busy_threads > 0.0 ? a.busy_threads / perf.busy_threads : 0.0);
 
-  set("UopsPerInstr", a.uops_per_instr);
-  set("AvgLoadLatency_cycles",
-      4.0 + a.eff_mem_latency_ns * machine.max_freq_ghz * a.llc_miss_ratio);
-  set("PrefetchPerKI", a.prefetch_pki);
-  set("StallCycleFrac", 1.0 - a.td_ret);
-  set("DispatchStallFrac", 0.05 + 0.8 * a.td_core);
-  set("MemQueueOccupancy",
-      a.mem_bw_gbps / machine.total_mem_bw_gbps() * perf.mem_latency_multiplier *
-          24.0);
+  out[kUopsPerInstr] = a.uops_per_instr;
+  out[kAvgLoadLatencyCycles] =
+      4.0 + a.eff_mem_latency_ns * machine.max_freq_ghz * a.llc_miss_ratio;
+  out[kPrefetchPerKi] = a.prefetch_pki;
+  out[kStallCycleFrac] = 1.0 - a.td_ret;
+  out[kDispatchStallFrac] = 0.05 + 0.8 * a.td_core;
+  out[kMemQueueOccupancy] = a.mem_bw_gbps / machine.total_mem_bw_gbps() *
+                            perf.mem_latency_multiplier * 24.0;
   const double kernel =
       0.015 + (a.network_mbps * 0.9 + a.disk_iops * 0.35) /
                   (a.busy_threads * 3000.0 + 1.0);
-  set("KernelTimeFrac", kernel);
-  set("UserTimeFrac",
-      a.busy_threads / static_cast<double>(machine.scheduling_vcpus()) *
-          (1.0 - kernel));
+  out[kKernelTimeFrac] = kernel;
+  out[kUserTimeFrac] = a.busy_threads /
+                       static_cast<double>(machine.scheduling_vcpus()) *
+                       (1.0 - kernel);
 }
 
-}  // namespace
-
-std::vector<double> synthesize_counters(const ScenarioPerformance& perf,
-                                        const JobCatalog& catalog,
-                                        const metrics::MetricCatalog& schema,
-                                        CounterOptions options,
-                                        std::uint64_t noise_stream) {
+/// Every counter the synthesizer produces, by slot.
+void produce(const ScenarioPerformance& perf, const JobCatalog& catalog,
+             ProducedValues& values) {
   const MachineConfig& machine = perf.machine;
-  std::unordered_map<std::string, double> values;
-
   const LevelAggregate machine_agg = aggregate(perf, catalog, machine, false);
   const LevelAggregate hp_agg = aggregate(perf, catalog, machine, true);
-  fill_level(machine_agg, perf, machine, "Machine", values);
-  fill_level(hp_agg, perf, machine, "HP", values);
+  fill_level(machine_agg, perf, machine, values.data() + kMachineLevelSlots);
+  fill_level(hp_agg, perf, machine, values.data() + kHpLevelSlots);
 
   // Machine-only metrics.
+  double* out = values.data() + kMachineSlots;
   const double total_vcpu = static_cast<double>(perf.mix.vcpus());
   const double hp_vcpu = static_cast<double>(perf.mix.hp_vcpus());
-  values["Machine.TotalOccupancy_vCPU"] = total_vcpu;
-  values["Machine.HPOccupancy_vCPU"] = hp_vcpu;
-  values["Machine.LPOccupancy_vCPU"] = total_vcpu - hp_vcpu;
-  values["Machine.FreeVCPUs"] =
-      static_cast<double>(machine.scheduling_vcpus()) - total_vcpu;
-  values["Machine.NumContainers"] = static_cast<double>(perf.mix.total_instances());
-  values["Machine.NumHPContainers"] = static_cast<double>(perf.mix.hp_instances());
-  values["Machine.NumLPContainers"] = static_cast<double>(perf.mix.lp_instances());
-  values["Machine.DRAM_UtilFrac"] = machine_agg.dram_gb / machine.dram_gb;
-  values["Machine.MemBW_UtilFrac"] = perf.mem_bw_utilization;
-  values["Machine.MemLatencyMultiplier"] = perf.mem_latency_multiplier;
-  values["Machine.NetworkUtilFrac"] = perf.network_utilization;
-  values["Machine.Freq_GHz"] = machine.max_freq_ghz;
+  out[kTotalOccupancyVcpu] = total_vcpu;
+  out[kHpOccupancyVcpu] = hp_vcpu;
+  out[kLpOccupancyVcpu] = total_vcpu - hp_vcpu;
+  out[kFreeVcpus] = static_cast<double>(machine.scheduling_vcpus()) - total_vcpu;
+  out[kNumContainers] = static_cast<double>(perf.mix.total_instances());
+  out[kNumHpContainers] = static_cast<double>(perf.mix.hp_instances());
+  out[kNumLpContainers] = static_cast<double>(perf.mix.lp_instances());
+  out[kDramUtilFrac] = machine_agg.dram_gb / machine.dram_gb;
+  out[kMemBwUtilFrac] = perf.mem_bw_utilization;
+  out[kMemLatencyMultiplier] = perf.mem_latency_multiplier;
+  out[kNetworkUtilFrac] = perf.network_utilization;
+  out[kFreqGhz] = machine.max_freq_ghz;
   const double cores = static_cast<double>(machine.total_cores());
-  values["Machine.SMTSharedFrac"] =
+  out[kSmtSharedFrac] =
       machine.smt_enabled && perf.busy_threads > cores
           ? std::min(2.0 * (perf.busy_threads - cores) / perf.busy_threads, 1.0)
           : 0.0;
   const double power = 75.0 + 145.0 * perf.cpu_utilization +
                        28.0 * std::min(perf.mem_bw_utilization, 1.2) +
                        0.3 * perf.llc_used_mb;
-  values["Machine.Power_W"] = power;
+  out[kPowerW] = power;
   const double temperature = 34.0 + 0.11 * power;
-  values["Machine.Temperature_C"] = temperature;
-  values["Machine.FanSpeed_RPM"] = 1800.0 + 42.0 * temperature;
+  out[kTemperatureC] = temperature;
+  out[kFanSpeedRpm] = 1800.0 + 42.0 * temperature;
 
-  // Per-job mix occupancy (consumed only by the opt-in §5.3 schema
-  // standard_with_job_mix(); unreferenced entries are simply unused).
-  for (const JobType type : all_job_types()) {
-    values["Machine.Mix_" + std::string(job_code(type)) + "_Instances"] =
-        static_cast<double>(perf.mix.count(type));
+  for (std::size_t j = 0; j < kNumJobTypes; ++j) {
+    values[kMixSlots + j] = static_cast<double>(perf.mix.instances[j]);
   }
+}
+
+constexpr std::size_t kNumCategories = 8;
+constexpr std::size_t kNumLevels = 2;
+
+}  // namespace
+
+CounterPlan::CounterPlan(const metrics::MetricCatalog& schema,
+                         CounterOptions options)
+    : options_(options),
+      subgroup_count_(
+          static_cast<std::size_t>(std::max(options.subgroup_count, 1))) {
+  const auto& slots = slot_by_name();
+  columns_.reserve(schema.size());
+  for (const metrics::MetricInfo& info : schema.metrics()) {
+    const auto it = slots.find(info.name);
+    if (it == slots.end()) {
+      throw SchemaError("CounterPlan: schema metric not produced: " + info.name);
+    }
+    Column column;
+    column.slot = it->second;
+    column.family = static_cast<std::uint8_t>(
+        (info.level == metrics::MetricLevel::kHpJobs ? 1 : 0) * kNumCategories +
+        static_cast<std::size_t>(info.category));
+    column.noisy = options.enable_noise &&
+                   info.category != metrics::MetricCategory::kOccupancy;
+    column.subgroup =
+        static_cast<std::uint32_t>(util::fnv1a(info.base_name) % subgroup_count_);
+    columns_.push_back(column);
+  }
+}
+
+std::vector<double> synthesize_counters(const ScenarioPerformance& perf,
+                                        const JobCatalog& catalog,
+                                        const CounterPlan& plan,
+                                        std::uint64_t noise_stream) {
+  const CounterOptions& options = plan.options();
+  ProducedValues values{};
+  produce(perf, catalog, values);
 
   // Order per the schema and overlay measurement noise. Structural
   // occupancy counts stay exact — a real monitor reads them losslessly.
   stats::Rng rng(util::hash_mix(
-      util::fnv1a(perf.mix.key(), util::fnv1a(machine.name, 0xC0117E45u)),
+      perf.mix.key_hash(util::fnv1a(perf.machine.name, 0xC0117E45u)),
       noise_stream));
 
   // One jitter factor per metric family (shared by the Machine and HP views
   // of the family — they observe the same underlying phase behaviour).
-  constexpr std::size_t kNumCategories = 8;
-  constexpr std::size_t kNumLevels = 2;
-  double family_factor[kNumLevels][kNumCategories];
+  double family_factor[kNumLevels * kNumCategories];
   for (std::size_t cat = 0; cat < kNumCategories; ++cat) {
     const bool jitter = options.enable_noise && options.family_jitter_sigma > 0.0;
     // Shared phase component (both views observe the same machine) plus a
@@ -263,37 +375,42 @@ std::vector<double> synthesize_counters(const ScenarioPerformance& perf,
     for (std::size_t lvl = 0; lvl < kNumLevels; ++lvl) {
       const double own =
           jitter ? 0.6 * options.family_jitter_sigma * rng.normal() : 0.0;
-      family_factor[lvl][cat] = std::exp(shared + own);
+      family_factor[lvl * kNumCategories + cat] = std::exp(shared + own);
     }
   }
 
   // Sub-family latents, keyed by base metric name so the Machine and HP
   // views of a counter share the same latent (preserving their correlation).
-  std::vector<double> subgroup_factor(
-      static_cast<std::size_t>(std::max(options.subgroup_count, 1)), 1.0);
+  std::vector<double> subgroup_factor(plan.subgroup_count(), 1.0);
   if (options.enable_noise && options.subgroup_jitter_sigma > 0.0) {
     for (double& f : subgroup_factor) {
       f = std::exp(options.subgroup_jitter_sigma * rng.normal());
     }
   }
 
-  std::vector<double> row(schema.size(), 0.0);
-  for (const metrics::MetricInfo& info : schema.metrics()) {
-    const auto it = values.find(info.name);
-    ensure(it != values.end(),
-           "synthesize_counters: schema metric not produced: " + info.name);
-    double v = it->second;
-    if (options.enable_noise && info.category != metrics::MetricCategory::kOccupancy) {
-      v *= family_factor[info.level == metrics::MetricLevel::kHpJobs ? 1 : 0]
-                        [static_cast<std::size_t>(info.category)];
-      v *= subgroup_factor[util::fnv1a(info.base_name) % subgroup_factor.size()];
+  std::vector<double> row(plan.size());
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    const CounterPlan::Column& column = plan.column(i);
+    double v = values[column.slot];
+    if (column.noisy) {
+      v *= family_factor[column.family];
+      v *= subgroup_factor[column.subgroup];
       if (options.measurement_noise_sigma > 0.0) {
         v *= std::exp(options.measurement_noise_sigma * rng.normal());
       }
     }
-    row[info.index] = v;
+    row[i] = v;
   }
   return row;
+}
+
+std::vector<double> synthesize_counters(const ScenarioPerformance& perf,
+                                        const JobCatalog& catalog,
+                                        const metrics::MetricCatalog& schema,
+                                        CounterOptions options,
+                                        std::uint64_t noise_stream) {
+  return synthesize_counters(perf, catalog, CounterPlan(schema, options),
+                             noise_stream);
 }
 
 FaultOptions FaultOptions::uniform(double rate, std::uint64_t seed) {

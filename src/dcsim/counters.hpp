@@ -31,8 +31,43 @@ struct CounterOptions {
   bool enable_noise = true;
 };
 
-/// Synthesises the catalog-ordered raw metric vector for one evaluated
+/// A metric schema compiled against CounterOptions. Each schema column is
+/// resolved once to the slot of the synthesizer's produced value it reads,
+/// its noise family (level × category), whether it is noise-exempt
+/// occupancy, and its sub-family latent `fnv1a(base_name) % subgroup_count`,
+/// so per-sample synthesis reads and writes doubles by index only.
+/// Compiling throws SchemaError naming the first schema metric the
+/// synthesizer does not produce — before any sample is drawn.
+class CounterPlan {
+ public:
+  struct Column {
+    std::uint32_t subgroup = 0;  ///< sub-family latent index
+    std::uint16_t slot = 0;      ///< index into the produced values
+    std::uint8_t family = 0;     ///< level * categories + category
+    bool noisy = false;          ///< noise on and not an occupancy count
+  };
+
+  CounterPlan(const metrics::MetricCatalog& schema, CounterOptions options);
+
+  [[nodiscard]] std::size_t size() const { return columns_.size(); }
+  [[nodiscard]] const Column& column(std::size_t i) const { return columns_[i]; }
+  [[nodiscard]] const CounterOptions& options() const { return options_; }
+  [[nodiscard]] std::size_t subgroup_count() const { return subgroup_count_; }
+
+ private:
+  std::vector<Column> columns_;
+  CounterOptions options_;
+  std::size_t subgroup_count_ = 1;
+};
+
+/// Synthesises the schema-ordered raw metric vector for one evaluated
 /// scenario. Deterministic per (performance, noise_stream).
+[[nodiscard]] std::vector<double> synthesize_counters(
+    const ScenarioPerformance& performance, const JobCatalog& catalog,
+    const CounterPlan& plan, std::uint64_t noise_stream = 0);
+
+/// Compiles a plan for `schema` and synthesises one row with it; callers
+/// synthesising many rows should compile the plan once instead.
 [[nodiscard]] std::vector<double> synthesize_counters(
     const ScenarioPerformance& performance, const JobCatalog& catalog,
     const metrics::MetricCatalog& schema, CounterOptions options = {},

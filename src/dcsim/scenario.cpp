@@ -1,6 +1,9 @@
 #include "dcsim/scenario.hpp"
 
+#include <charconv>
+
 #include "util/error.hpp"
+#include "util/hash.hpp"
 #include "util/strings.hpp"
 
 namespace flare::dcsim {
@@ -25,16 +28,34 @@ int JobMix::hp_instances() const {
 
 int JobMix::lp_instances() const { return total_instances() - hp_instances(); }
 
-std::string JobMix::key() const {
-  std::string out;
+template <typename Append>
+void JobMix::for_each_key_piece(Append&& append) const {
+  bool first = true;
   for (std::size_t i = 0; i < kNumJobTypes; ++i) {
     if (instances[i] == 0) continue;
-    if (!out.empty()) out += ',';
-    out += job_code(static_cast<JobType>(i));
-    out += ':';
-    out += std::to_string(instances[i]);
+    if (!first) append(std::string_view(","));
+    first = false;
+    append(job_code(static_cast<JobType>(i)));
+    append(std::string_view(":"));
+    char digits[16];
+    const char* end =
+        std::to_chars(digits, digits + sizeof(digits), instances[i]).ptr;
+    append(std::string_view(digits, static_cast<std::size_t>(end - digits)));
   }
+}
+
+std::string JobMix::key() const {
+  std::string out;
+  for_each_key_piece([&](std::string_view piece) { out += piece; });
   return out;
+}
+
+std::uint64_t JobMix::key_hash(std::uint64_t seed) const {
+  // FNV-1a folds bytes one at a time, so chaining it over the pieces equals
+  // hashing the concatenated key.
+  std::uint64_t h = seed;
+  for_each_key_piece([&](std::string_view piece) { h = util::fnv1a(piece, h); });
+  return h;
 }
 
 JobMix JobMix::from_key(std::string_view key) {

@@ -5,6 +5,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dcsim/job_types.hpp"
@@ -33,10 +34,18 @@ struct JobMix {
   /// and trace round-trips. Empty mix yields "".
   [[nodiscard]] std::string key() const;
 
+  /// `util::fnv1a(key(), seed)` without building the key string.
+  [[nodiscard]] std::uint64_t key_hash(std::uint64_t seed) const;
+
   /// Parses a key produced by `key()`; throws ParseError on malformed input.
   [[nodiscard]] static JobMix from_key(std::string_view key);
 
   [[nodiscard]] bool operator==(const JobMix&) const = default;
+
+ private:
+  /// Calls `append(std::string_view)` with the key's pieces in order.
+  template <typename Append>
+  void for_each_key_piece(Append&& append) const;
 };
 
 /// A deduplicated scenario observed in the (simulated) datacenter, together

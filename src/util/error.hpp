@@ -24,6 +24,13 @@ class ParseError : public FlareError {
   explicit ParseError(const std::string& what) : FlareError(what) {}
 };
 
+/// Raised when a metric schema names a column its producer cannot fill (the
+/// counter synthesizer, or a derived column without its source metric).
+class SchemaError : public FlareError {
+ public:
+  explicit SchemaError(const std::string& what) : FlareError(what) {}
+};
+
 /// Raised when a numerical routine fails to converge or is ill-conditioned.
 class NumericalError : public FlareError {
  public:

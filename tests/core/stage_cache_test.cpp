@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <string>
+#include <vector>
 
 namespace flare::core {
 namespace {
@@ -137,6 +141,65 @@ TEST_F(StageCacheTest, InvalidateAndClearDeleteSpillFiles) {
   EXPECT_EQ(cache.entries(), 0u);
   EXPECT_FALSE(std::filesystem::exists(cache.spill_path("b", 2)));
   EXPECT_EQ(cache.stats().resident_bytes, 0u);
+}
+
+/// Writes a spill file by hand: the FLARESP1 magic, a (rows, cols) header and
+/// `payload_doubles` doubles — whatever the header claims.
+void write_raw_spill(const std::string& path, std::uint64_t rows,
+                     std::uint64_t cols, std::size_t payload_doubles) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  const std::uint64_t dims[2] = {rows, cols};
+  const std::vector<double> payload(payload_doubles, 1.5);
+  std::fwrite("FLARESP1", 1, 8, f);
+  std::fwrite(dims, sizeof(std::uint64_t), 2, f);
+  std::fwrite(payload.data(), sizeof(double), payload.size(), f);
+  std::fclose(f);
+}
+
+/// A corrupt spill must be a miss that recomputes, never a throw or an
+/// allocation sized by the header.
+void expect_miss_and_recompute(const StageCacheConfig& config) {
+  StageOutputCache cache(config);
+  int computes = 0;
+  linalg::Matrix got;
+  EXPECT_NO_THROW(got = cache.get_or_compute("a", 1, 0.0, [&]() {
+    ++computes;
+    return make_matrix(2, 2, 3.0);
+  }));
+  EXPECT_EQ(computes, 1);
+  EXPECT_EQ(got.data(), make_matrix(2, 2, 3.0).data());
+  EXPECT_EQ(cache.stats().reloads, 0u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+}
+
+TEST_F(StageCacheTest, SpillHeaderWithHugeDimensionsIsAMiss) {
+  StageCacheConfig config;
+  config.spill_dir = spill_dir_;
+  // 2^40 doubles (8 TiB) claimed, 4 held.
+  write_raw_spill(StageOutputCache(config).spill_path("a", 1), 1ull << 20,
+                  1ull << 20, 4);
+  expect_miss_and_recompute(config);
+}
+
+TEST_F(StageCacheTest, SpillHeaderWhoseSizeWrapsIsAMiss) {
+  StageCacheConfig config;
+  config.spill_dir = spill_dir_;
+  // (2^63 + 8) × 2 wraps uint64 to 16, and the file holds exactly 16 doubles.
+  write_raw_spill(StageOutputCache(config).spill_path("a", 1),
+                  (1ull << 63) + 8, 2, 16);
+  expect_miss_and_recompute(config);
+  // 2^32 × 2^32 wraps to zero: an "empty" payload for a giant matrix.
+  write_raw_spill(StageOutputCache(config).spill_path("a", 1), 1ull << 32,
+                  1ull << 32, 0);
+  expect_miss_and_recompute(config);
+}
+
+TEST_F(StageCacheTest, SpillClaimingMoreDataThanTheFileHoldsIsAMiss) {
+  StageCacheConfig config;
+  config.spill_dir = spill_dir_;
+  write_raw_spill(StageOutputCache(config).spill_path("a", 1), 4, 4, 8);
+  expect_miss_and_recompute(config);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace flare::dcsim {
 namespace {
@@ -58,6 +59,17 @@ TEST(JobMix, KeyRoundTrips) {
   mix.add(JobType::kLpLibquantum, 2);
   mix.add(JobType::kMediaStreaming, 1);
   EXPECT_EQ(JobMix::from_key(mix.key()), mix);
+}
+
+TEST(JobMix, KeyHashEqualsHashOfTheKey) {
+  JobMix mix;
+  EXPECT_EQ(mix.key_hash(7), util::fnv1a(mix.key(), 7));
+  mix.add(JobType::kDataAnalytics, 12);  // multi-digit count
+  EXPECT_EQ(mix.key_hash(7), util::fnv1a("DA:12", 7));
+  mix.add(JobType::kLpXalancbmk, 3);
+  mix.add(JobType::kWebSearch, 1);
+  EXPECT_EQ(mix.key_hash(7), util::fnv1a(mix.key(), 7));
+  EXPECT_NE(mix.key_hash(7), mix.key_hash(8));
 }
 
 TEST(JobMix, FromKeyEmptyString) {

@@ -7,6 +7,7 @@
 #include <set>
 #include <string_view>
 
+#include "dcsim/submission.hpp"
 #include "stats/descriptive.hpp"
 #include "tests/core/test_env.hpp"
 #include "util/hash.hpp"
@@ -307,6 +308,51 @@ TEST(AnalyzerGolden, FitIsBitIdenticalToPreRefactorCapture) {
   mix(a.representatives.data(), a.representatives.size() * sizeof(std::size_t));
   mix(a.cluster_weights.data(), a.cluster_weights.size() * sizeof(double));
   EXPECT_EQ(h, 0x8d2548b8333dcaefull);
+}
+
+// The Fig. 9 auto-k sweep over the full paper trace (900 scenarios, k =
+// 2..40, 8 restarts each), hashed from the pre-lane-kernel K-means: every
+// quality-curve point, the chosen k, the kept clustering and the
+// representatives. The K-means kernels may change loop order and layout,
+// never a bit of this output, and it must hold for every thread count.
+std::uint64_t paper_sweep_hash(std::size_t threads) {
+  static const dcsim::ScenarioSet kTrace =
+      dcsim::generate_scenario_set(dcsim::SubmissionConfig{},
+                                   dcsim::default_machine());
+  FlareConfig config;
+  config.analyzer.fixed_clusters = std::nullopt;
+  config.threads = threads;
+  FlarePipeline pipeline(config);
+  pipeline.fit(kTrace);
+  const AnalysisResult& a = pipeline.analysis();
+  EXPECT_EQ(kTrace.size(), 900u);
+  EXPECT_EQ(a.quality_curve.size(), 39u);
+
+  std::uint64_t h = util::kFnvOffsetBasis;
+  const auto mix = [&](const void* p, std::size_t n) {
+    h = util::fnv1a(std::string_view(static_cast<const char*>(p), n), h);
+  };
+  for (const ClusterQualityPoint& point : a.quality_curve) {
+    mix(&point.k, sizeof(point.k));
+    mix(&point.sse, sizeof(point.sse));
+    mix(&point.silhouette, sizeof(point.silhouette));
+  }
+  mix(&a.chosen_k, sizeof(a.chosen_k));
+  mix(a.clustering.assignment.data(),
+      a.clustering.assignment.size() * sizeof(std::size_t));
+  mix(a.clustering.point_distances.data(),
+      a.clustering.point_distances.size() * sizeof(double));
+  mix(&a.clustering.sse, sizeof(double));
+  mix(a.representatives.data(), a.representatives.size() * sizeof(std::size_t));
+  return h;
+}
+
+TEST(AnalyzerSweepGolden, PaperTraceAutoKIsBitIdenticalSerial) {
+  EXPECT_EQ(paper_sweep_hash(1), 0x82ac8c43ff7736f9ull);
+}
+
+TEST(AnalyzerSweepGolden, PaperTraceAutoKIsBitIdenticalOnFourThreads) {
+  EXPECT_EQ(paper_sweep_hash(4), 0x82ac8c43ff7736f9ull);
 }
 
 TEST(AnalyzerStages, RepeatAnalyzeWithPreviousReusesEveryStage) {

@@ -9,15 +9,30 @@
 
 namespace flare::linalg {
 
+namespace {
+
+/// rows × cols, or std::length_error when the product does not fit in
+/// size_t — a wrapped product would let a huge shape pass as a small one.
+std::size_t element_count(std::size_t rows, std::size_t cols) {
+  std::size_t count = 0;
+  if (__builtin_mul_overflow(rows, cols, &count)) {
+    throw std::length_error("Matrix: rows * cols overflows size_t");
+  }
+  return count;
+}
+
+}  // namespace
+
 Matrix::Matrix(std::size_t rows, std::size_t cols)
-    : rows_(rows), cols_(cols), data_(rows * cols, 0.0) {}
+    : rows_(rows), cols_(cols), data_(element_count(rows, cols), 0.0) {}
 
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
-    : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
+    : rows_(rows), cols_(cols), data_(element_count(rows, cols), fill) {}
 
 Matrix::Matrix(std::size_t rows, std::size_t cols, std::vector<double> data)
     : rows_(rows), cols_(cols), data_(std::move(data)) {
-  ensure(data_.size() == rows_ * cols_, "Matrix: data size does not match shape");
+  ensure(data_.size() == element_count(rows_, cols_),
+         "Matrix: data size does not match shape");
 }
 
 Matrix Matrix::from_rows(const std::vector<std::vector<double>>& rows) {

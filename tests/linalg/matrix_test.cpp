@@ -31,6 +31,15 @@ TEST(Matrix, DataConstructorValidatesSize) {
   EXPECT_THROW(Matrix(2, 2, std::vector<double>{1, 2, 3}), std::invalid_argument);
 }
 
+TEST(Matrix, OverflowingShapeIsRejected) {
+  // (2^63 + 8) × 2 wraps to 16 in size_t arithmetic: it must not pass as a
+  // 16-element matrix, with or without data.
+  const std::size_t rows = (std::size_t{1} << 63) + 8;
+  EXPECT_THROW(Matrix(rows, 2, std::vector<double>(16, 1.0)), std::length_error);
+  EXPECT_THROW(Matrix(rows, 2), std::length_error);
+  EXPECT_THROW(Matrix(2, rows, 0.5), std::length_error);
+}
+
 TEST(Matrix, FromRowsBuildsRowMajor) {
   const Matrix m = Matrix::from_rows({{1, 2}, {3, 4}});
   EXPECT_DOUBLE_EQ(m(0, 1), 2.0);

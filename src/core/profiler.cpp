@@ -57,13 +57,15 @@ bool valid_reading(double v, double max_abs) {
 }
 
 /// One periodic read: evaluate the model and synthesize counters on the
-/// attempt's noise stream, then overlay injected faults.
+/// attempt's noise stream, apply the scenario's dynamics overlay `overlay`
+/// (empty for untagged rows), then overlay injected faults.
 std::vector<double> read_sample(const dcsim::InterferenceModel& model,
                                 const ProfilerConfig& config,
                                 const dcsim::CounterFaultModel& faults,
                                 const dcsim::ColocationScenario& scenario,
                                 const dcsim::MachineConfig& machine,
                                 const SchemaPlan& plan,
+                                const std::vector<double>& overlay,
                                 const std::vector<double>& last_observed,
                                 int sample_index, int attempt) {
   // Attempt 0 reuses the clean profiler's stream so faults-off stays
@@ -80,12 +82,7 @@ std::vector<double> read_sample(const dcsim::InterferenceModel& model,
       model.evaluate(machine, scenario.mix, stream);
   std::vector<double> sample =
       dcsim::synthesize_counters(perf, model.catalog(), plan.counters, stream);
-  // Dynamics tags (rolling-upgrade version shift, anomaly-episode
-  // corruption) distort the synthesized counters deterministically; untagged
-  // rows skip the overlay entirely and stay bit-identical.
-  if (scenario.dynamic_tagged()) {
-    dcsim::apply_dynamics_overlay(sample, plan.base_catalog, scenario);
-  }
+  dcsim::apply_dynamics_overlay(sample, overlay);
   if (faults.active()) {
     faults.corrupt(sample, last_observed, scenario.mix.key(), sample_index,
                    attempt);
@@ -107,6 +104,14 @@ metrics::MetricRow profile_one(const dcsim::InterferenceModel& model,
   row.values.assign(schema.size(), 0.0);
   health = RowHealth{};
   health.imputed_metrics.assign(schema.size(), false);
+  // Dynamics tags (rolling-upgrade version shift, anomaly-episode
+  // corruption) distort the synthesized counters deterministically, by
+  // per-column factors fixed by the tags; untagged rows skip the overlay
+  // entirely and stay bit-identical.
+  const std::vector<double> overlay =
+      scenario.dynamic_tagged()
+          ? dcsim::dynamics_overlay_factors(plan.base_catalog, scenario)
+          : std::vector<double>{};
 
   if (!faults.active()) {
     // Clean fast path — byte-for-byte the original profiler loop: per-metric
@@ -120,9 +125,7 @@ metrics::MetricRow profile_one(const dcsim::InterferenceModel& model,
           model.evaluate(machine, scenario.mix, stream);
       std::vector<double> sample = dcsim::synthesize_counters(
           perf, model.catalog(), plan.counters, stream);
-      if (scenario.dynamic_tagged()) {
-        dcsim::apply_dynamics_overlay(sample, plan.base_catalog, scenario);
-      }
+      dcsim::apply_dynamics_overlay(sample, overlay);
       for (std::size_t i = 0; i < sample.size(); ++i) per_metric[i].add(sample[i]);
     }
     health.valid_samples = config.samples_per_scenario;
@@ -175,7 +178,7 @@ metrics::MetricRow profile_one(const dcsim::InterferenceModel& model,
       if (attempt > 0) retried = true;
       if (faults.drop_sample(key, s, attempt)) continue;
       const std::vector<double> sample =
-          read_sample(model, config, faults, scenario, machine, plan,
+          read_sample(model, config, faults, scenario, machine, plan, overlay,
                       last_observed, s, attempt);
       observed = true;
       for (std::size_t i = 0; i < sample.size(); ++i) {

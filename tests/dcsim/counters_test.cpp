@@ -349,5 +349,36 @@ TEST(CounterSynthesisGolden, ProfileIsBitIdenticalForOneAndFourThreads) {
   EXPECT_EQ(h, 0x517363b93043addaull);
 }
 
+/// Profiler hash over the golden scenarios with rolling-upgrade and
+/// anomaly tags, which route every sample through the dynamics overlay.
+std::uint64_t tagged_profile_hash(const core::ProfilerConfig& config) {
+  ScenarioSet tagged = golden_scenarios();
+  for (std::size_t i = 0; i < tagged.scenarios.size(); ++i) {
+    ColocationScenario& s = tagged.scenarios[i];
+    if (i % 3 != 2) {
+      s.profile_version = 2;
+      s.profile_shift = 0.25;
+    }
+    if (i % 3 != 0) {
+      s.anomaly_episode = static_cast<std::uint32_t>(1 + i % 4);
+      s.anomaly_intensity = 0.4;
+    }
+  }
+  const InterferenceModel model;
+  const metrics::MetricDatabase db =
+      core::Profiler(model, config).profile(tagged, default_machine());
+  std::uint64_t h = util::kFnvOffsetBasis;
+  for (std::size_t i = 0; i < db.num_rows(); ++i) mix_doubles(h, db.row(i).values);
+  return h;
+}
+
+TEST(CounterSynthesisGolden, DynamicsTaggedProfileIsBitIdentical) {
+  EXPECT_EQ(tagged_profile_hash({}), 0xae47c853b0742521ull);
+  // The faulty path overlays each read (retries included) the same way.
+  core::ProfilerConfig faulty;
+  faulty.faults = FaultOptions::uniform(0.02);
+  EXPECT_EQ(tagged_profile_hash(faulty), 0x5324540185913b55ull);
+}
+
 }  // namespace
 }  // namespace flare::dcsim

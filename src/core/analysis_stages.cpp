@@ -232,17 +232,24 @@ ClusterOutput cluster(const linalg::Matrix& cluster_space,
   const std::size_t k_lo = config.min_clusters;
   const std::size_t k_hi = std::min(config.max_clusters, cluster_space.rows() - 1);
   const bool sweep = config.compute_quality_curve || !config.fixed_clusters;
+  // Sweep solutions the final clustering may reuse, one slot per k: the
+  // fixed k's when one is set; every k on the exact-silhouette path of an
+  // auto-k fit, whose chosen k is unknown until the curve is complete (39·n
+  // entries are small next to the n×n distance cache). The solvers are
+  // deterministic for every thread count, so reuse equals a re-solve.
+  std::vector<ml::KMeansResult> solved;
   if (sweep && k_hi >= k_lo) {
     // Every sweep point scores the SAME fixed point set, so the O(n²·dim)
     // pairwise distances are computed once and shared across all k. Sweep
-    // points are independent: each task owns its quality_curve slot, and at
-    // most one task (k == fixed_clusters) writes the kept clustering. The
-    // per-k kmeans runs inline in its task (nested pool use is forbidden).
+    // points are independent: each task owns its quality_curve and solved
+    // slots. The per-k kmeans runs inline in its task (nested pool use is
+    // forbidden).
     const ml::PairwiseDistances distances =
         exact_silhouette ? ml::pairwise_distances(cluster_space, pool)
                          : ml::PairwiseDistances();
+    const bool keep_every_k = exact_silhouette && !config.fixed_clusters;
     out.quality_curve.assign(k_hi - k_lo + 1, ClusterQualityPoint{});
-    ml::KMeansResult kept;
+    solved.resize(out.quality_curve.size());
     util::maybe_parallel_for(pool, out.quality_curve.size(), [&](std::size_t idx) {
       const std::size_t k = k_lo + idx;
       ml::KMeansResult kr = solve(k, nullptr);
@@ -257,11 +264,8 @@ ClusterOutput cluster(const linalg::Matrix& cluster_space,
             config.kmeans.seed);
         point.silhouette_estimated = true;
       }
-      if (config.fixed_clusters.has_value() && k == *config.fixed_clusters) {
-        kept = std::move(kr);
-      }
+      if (keep_every_k || k == config.fixed_clusters) solved[idx] = std::move(kr);
     });
-    out.clustering = std::move(kept);
   }
 
   out.chosen_k = config.fixed_clusters.has_value()
@@ -269,7 +273,10 @@ ClusterOutput cluster(const linalg::Matrix& cluster_space,
                      : Analyzer::suggest_k(out.quality_curve);
   ensure(out.chosen_k >= config.min_clusters && out.chosen_k <= k_hi,
          "Analyzer::analyze: chosen cluster count is out of the sweep range");
-  if (out.clustering.assignment.empty()) {
+  const std::size_t chosen_slot = out.chosen_k - k_lo;
+  if (chosen_slot < solved.size() && !solved[chosen_slot].assignment.empty()) {
+    out.clustering = std::move(solved[chosen_slot]);
+  } else {
     out.clustering = solve(out.chosen_k, pool);
   }
   return out;

@@ -61,19 +61,26 @@ std::uint64_t JobMix::key_hash(std::uint64_t seed) const {
 JobMix JobMix::from_key(std::string_view key) {
   JobMix mix;
   if (util::trim(key).empty()) return mix;
-  for (const std::string& part : util::split(key, ',')) {
-    const std::vector<std::string> kv = util::split(part, ':');
-    if (kv.size() != 2) {
-      throw ParseError("JobMix::from_key: malformed entry '" + part + "'");
+  // Walks the comma-separated "code:count" entries as views into `key`.
+  while (true) {
+    const std::size_t comma = key.find(',');
+    const std::string_view part = key.substr(0, comma);
+    const std::size_t colon = part.find(':');
+    if (colon == std::string_view::npos ||
+        part.find(':', colon + 1) != std::string_view::npos) {
+      throw ParseError("JobMix::from_key: malformed entry '" + std::string(part) +
+                       "'");
     }
-    const JobType type = job_type_from_code(util::trim(kv[0]));
-    const long long count = util::parse_int(kv[1]);
+    const JobType type = job_type_from_code(util::trim(part.substr(0, colon)));
+    const long long count = util::parse_int(part.substr(colon + 1));
     if (count <= 0) {
-      throw ParseError("JobMix::from_key: non-positive count in '" + part + "'");
+      throw ParseError("JobMix::from_key: non-positive count in '" +
+                       std::string(part) + "'");
     }
     mix.add(type, static_cast<int>(count));
+    if (comma == std::string_view::npos) return mix;
+    key.remove_prefix(comma + 1);
   }
-  return mix;
 }
 
 double ScenarioSet::total_weight() const {

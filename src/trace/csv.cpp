@@ -28,68 +28,87 @@ void write_csv_row(std::ostream& out, const std::vector<std::string>& fields) {
   out << '\n';
 }
 
-std::vector<std::string> parse_csv_row(const std::string& line) {
-  std::vector<std::string> fields;
-  std::string current;
+void parse_csv_row(std::string_view line, CsvRow& row) {
+  row.fields.clear();
+  row.bytes.clear();
+  // Unescaped text never outgrows the line, so `bytes` does not reallocate
+  // below and the views taken into it stay valid.
+  row.bytes.reserve(line.size());
+  std::string& bytes = row.bytes;
+  std::size_t start = 0;  ///< the current field's first byte in `bytes`
   bool in_quotes = false;
   for (std::size_t i = 0; i < line.size(); ++i) {
     const char c = line[i];
     if (in_quotes) {
       if (c == '"') {
         if (i + 1 < line.size() && line[i + 1] == '"') {
-          current += '"';
+          bytes += '"';
           ++i;
         } else {
           in_quotes = false;
         }
       } else {
-        current += c;
+        bytes += c;
       }
     } else if (c == '"') {
-      if (!current.empty()) {
+      if (bytes.size() != start) {
         throw ParseError("parse_csv_row: quote in the middle of a bare field");
       }
       in_quotes = true;
     } else if (c == ',') {
-      fields.push_back(std::move(current));
-      current.clear();
+      row.fields.emplace_back(bytes.data() + start, bytes.size() - start);
+      start = bytes.size();
     } else if (c != '\r') {
-      current += c;
+      bytes += c;
     }
   }
   if (in_quotes) throw ParseError("parse_csv_row: unterminated quoted field");
-  fields.push_back(std::move(current));
-  return fields;
+  row.fields.emplace_back(bytes.data() + start, bytes.size() - start);
+}
+
+void parse_csv_row(std::string_view line, const std::string& path,
+                   std::size_t line_number, CsvRow& row) {
+  try {
+    parse_csv_row(line, row);
+  } catch (const ParseError& e) {
+    throw ParseError(path + ":" + std::to_string(line_number) + ": " +
+                     e.what() + " — offending line '" + std::string(line) + "'");
+  }
+}
+
+std::vector<std::string> parse_csv_row(const std::string& line) {
+  CsvRow row;
+  parse_csv_row(line, row);
+  return {row.fields.begin(), row.fields.end()};
 }
 
 std::vector<std::string> parse_csv_row(const std::string& line,
                                        const std::string& path,
                                        std::size_t line_number) {
-  try {
-    return parse_csv_row(line);
-  } catch (const ParseError& e) {
-    throw ParseError(path + ":" + std::to_string(line_number) + ": " +
-                     e.what() + " — offending line '" + line + "'");
-  }
+  CsvRow row;
+  parse_csv_row(line, path, line_number, row);
+  return {row.fields.begin(), row.fields.end()};
 }
 
-double parse_csv_double(const std::string& token, const std::string& path,
+double parse_csv_double(std::string_view token, const std::string& path,
                         std::size_t line_number) {
   try {
     return util::parse_double(token);
   } catch (const ParseError&) {
     throw ParseError(path + ":" + std::to_string(line_number) +
-                     ": not a number — offending token '" + token + "'");
+                     ": not a number — offending token '" + std::string(token) +
+                     "'");
   }
 }
 
-long long parse_csv_int(const std::string& token, const std::string& path,
+long long parse_csv_int(std::string_view token, const std::string& path,
                         std::size_t line_number) {
   try {
     return util::parse_int(token);
   } catch (const ParseError&) {
     throw ParseError(path + ":" + std::to_string(line_number) +
-                     ": not an integer — offending token '" + token + "'");
+                     ": not an integer — offending token '" + std::string(token) +
+                     "'");
   }
 }
 

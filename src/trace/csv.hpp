@@ -3,6 +3,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace flare::trace {
@@ -13,12 +14,26 @@ namespace flare::trace {
 /// Writes one CSV record (with trailing newline).
 void write_csv_row(std::ostream& out, const std::vector<std::string>& fields);
 
-/// Parses one CSV record (handles quoted fields with embedded commas/quotes).
-/// Throws flare::ParseError on malformed quoting.
-[[nodiscard]] std::vector<std::string> parse_csv_row(const std::string& line);
+/// One parsed CSV record: `fields` view the unescaped field text held in
+/// `bytes`, valid until the next parse into the same CsvRow. A loader that
+/// reuses one CsvRow across its rows keeps both buffers' capacity, so
+/// steady-state parsing allocates nothing.
+struct CsvRow {
+  std::vector<std::string_view> fields;
+  std::string bytes;
+};
+
+/// Parses one CSV record into `row` (handles quoted fields with embedded
+/// commas/quotes). Throws flare::ParseError on malformed quoting.
+void parse_csv_row(std::string_view line, CsvRow& row);
 
 /// Position-aware variant: malformed quoting raises a ParseError carrying
 /// `path`, the 1-based `line_number` and the offending line.
+void parse_csv_row(std::string_view line, const std::string& path,
+                   std::size_t line_number, CsvRow& row);
+
+/// The same parses, returning owned fields.
+[[nodiscard]] std::vector<std::string> parse_csv_row(const std::string& line);
 [[nodiscard]] std::vector<std::string> parse_csv_row(const std::string& line,
                                                      const std::string& path,
                                                      std::size_t line_number);
@@ -26,10 +41,10 @@ void write_csv_row(std::ostream& out, const std::vector<std::string>& fields);
 /// Numeric-token parsing with provenance: wraps util::parse_double /
 /// util::parse_int so a bad token raises a ParseError naming the file, the
 /// 1-based line number and the token itself.
-[[nodiscard]] double parse_csv_double(const std::string& token,
+[[nodiscard]] double parse_csv_double(std::string_view token,
                                       const std::string& path,
                                       std::size_t line_number);
-[[nodiscard]] long long parse_csv_int(const std::string& token,
+[[nodiscard]] long long parse_csv_int(std::string_view token,
                                       const std::string& path,
                                       std::size_t line_number);
 

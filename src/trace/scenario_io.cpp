@@ -91,9 +91,11 @@ dcsim::ScenarioSet parse_scenario_lines(
   const std::size_t num_fields = extended ? 8 : 4;
   dcsim::ScenarioSet set;
   set.scenarios.reserve(lines.size() - 1);  // one row per non-header line
+  CsvRow row;  // reused: fields view its buffer, no per-row allocation
+  const std::vector<std::string_view>& fields = row.fields;
   for (std::size_t i = 1; i < lines.size(); ++i) {
     const std::size_t line_no = i + 1;
-    const std::vector<std::string> fields = parse_csv_row(lines[i], path, line_no);
+    parse_csv_row(lines[i], path, line_no, row);
     if (fields.size() != num_fields) {
       throw ParseError("load_scenario_set: " + path + ":" +
                        std::to_string(line_no) + ": expected " +
@@ -122,14 +124,15 @@ dcsim::ScenarioSet parse_scenario_lines(
     if (s.observation_weight < 0.0) {
       throw ParseError("load_scenario_set: " + path + ":" +
                        std::to_string(line_no) +
-                       ": negative weight — offending token '" + fields[2] + "'");
+                       ": negative weight — offending token '" +
+                       std::string(fields[2]) + "'");
     }
     try {
       s.mix = dcsim::JobMix::from_key(fields[3]);
     } catch (const ParseError& e) {
       throw ParseError("load_scenario_set: " + path + ":" +
                        std::to_string(line_no) + ": " + e.what() +
-                       " — offending token '" + fields[3] + "'");
+                       " — offending token '" + std::string(fields[3]) + "'");
     }
     if (extended) {
       const long long version = parse_csv_int(fields[4], path, line_no);
@@ -137,7 +140,7 @@ dcsim::ScenarioSet parse_scenario_lines(
         throw ParseError("load_scenario_set: " + path + ":" +
                          std::to_string(line_no) +
                          ": profile_version must be >= 1 — offending token '" +
-                         fields[4] + "'");
+                         std::string(fields[4]) + "'");
       }
       s.profile_version = static_cast<int>(version);
       s.profile_shift = parse_csv_double(fields[5], path, line_no);
@@ -146,7 +149,7 @@ dcsim::ScenarioSet parse_scenario_lines(
         throw ParseError("load_scenario_set: " + path + ":" +
                          std::to_string(line_no) +
                          ": negative anomaly_episode — offending token '" +
-                         fields[6] + "'");
+                         std::string(fields[6]) + "'");
       }
       s.anomaly_episode = static_cast<std::uint32_t>(episode);
       s.anomaly_intensity = parse_csv_double(fields[7], path, line_no);
@@ -154,14 +157,16 @@ dcsim::ScenarioSet parse_scenario_lines(
         throw ParseError("load_scenario_set: " + path + ":" +
                          std::to_string(line_no) +
                          ": negative dynamics magnitude — offending token '" +
-                         (s.profile_shift < 0.0 ? fields[5] : fields[7]) + "'");
+                         std::string(s.profile_shift < 0.0 ? fields[5]
+                                                           : fields[7]) +
+                         "'");
       }
     }
     if (s.id != set.scenarios.size()) {
       throw ParseError("load_scenario_set: " + path + ":" +
                        std::to_string(line_no) +
                        ": non-dense scenario ids — offending token '" +
-                       fields[0] + "'");
+                       std::string(fields[0]) + "'");
     }
     set.scenarios.push_back(std::move(s));
   }

@@ -54,6 +54,21 @@ TEST(CsvRow, RejectsMalformedQuoting) {
   EXPECT_THROW((void)parse_csv_row("ab\"cd\""), ParseError);
 }
 
+TEST(CsvRow, ReusedRowParsesEveryRecordAfresh) {
+  // One CsvRow across records, as the loaders use it: each parse replaces
+  // the fields, and views of a long record survive into the next, shorter
+  // one without stale bytes.
+  CsvRow row;
+  parse_csv_row("\"a,\"\"b\"\"\",long-field-value,x\r", row);
+  EXPECT_EQ(row.fields,
+            (std::vector<std::string_view>{"a,\"b\"", "long-field-value", "x"}));
+  parse_csv_row("1,\"DS:1,mcf:2\"", row);
+  EXPECT_EQ(row.fields, (std::vector<std::string_view>{"1", "DS:1,mcf:2"}));
+  parse_csv_row("", row);
+  EXPECT_EQ(row.fields, (std::vector<std::string_view>{""}));
+  EXPECT_THROW(parse_csv_row("ok,ab\"cd\"", row), ParseError);
+}
+
 TEST(ReadLines, ReadsNonEmptyLines) {
   const std::string path = ::testing::TempDir() + "/flare_csv_test.txt";
   {

@@ -165,6 +165,24 @@ void BM_KSweepPrunedCached(benchmark::State& state) {
 }
 BENCHMARK(BM_KSweepPrunedCached)->Arg(895)->Unit(benchmark::kMillisecond);
 
+/// The K-means half of the paper's auto-k sweep (Fig. 9): k = 2..40 with the
+/// default 8 restarts on the whitened cluster space of the paper trace. Unlike
+/// the well-separated blobs above, about half of the assignment visits here
+/// need the distance to every centroid.
+void BM_KMeansPaperSweep(benchmark::State& state) {
+  const linalg::Matrix& space = env().pipeline->analysis().cluster_space;
+  for (auto _ : state) {
+    double checksum = 0.0;
+    for (std::size_t k = 2; k <= 40; ++k) {
+      ml::KMeansParams params;
+      params.k = k;
+      checksum += ml::kmeans(space, params).sse;
+    }
+    benchmark::DoNotOptimize(checksum);
+  }
+}
+BENCHMARK(BM_KMeansPaperSweep)->Unit(benchmark::kMillisecond);
+
 void BM_LloydNaive(benchmark::State& state) {
   const linalg::Matrix& space = blob_data(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {

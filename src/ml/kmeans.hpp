@@ -2,12 +2,13 @@
 // restarts. The paper groups 895 whitened scenario vectors into 18 clusters
 // and takes the member nearest each centroid as the representative scenario.
 //
-// The assignment step prunes with the triangle inequality (Elkan/Hamerly
-// style): centroid c cannot beat the best centroid found so far for a point
-// when the centroid–centroid distance already proves it, so most of the k
-// distance evaluations per point are skipped. Pruning only ever skips
-// provably-losing candidates, so the output is bit-identical to the naive
-// scan (`KMeansParams::prune` toggles it for verification/benchmarks).
+// The assignment step prunes with carried Hamerly bounds and the
+// triangle inequality: a point whose bounds prove its assignment unchanged
+// computes at most one distance; any other point gets its distance to every
+// centroid from one SIMD kernel whose lanes each run the scalar distance
+// chain exactly. Pruning only ever skips provably-losing work, so the output
+// is bit-identical to the naive scan (`KMeansParams::prune` toggles it for
+// verification/benchmarks).
 #pragma once
 
 #include <cstdint>

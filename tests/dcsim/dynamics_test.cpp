@@ -192,9 +192,10 @@ TEST(Dynamics, OverlayIsEpisodeCoherentAndSparesOccupancy) {
   std::vector<double> row_a = base, row_b = base, row_plain = base;
   // Different starting values must still yield the same *factor*.
   for (double& v : row_b) v *= 2.0;
-  apply_dynamics_overlay(row_a, catalog, tagged_a);
-  apply_dynamics_overlay(row_b, catalog, tagged_b);
-  apply_dynamics_overlay(row_plain, catalog, untagged);
+  apply_dynamics_overlay(row_a, dynamics_overlay_factors(catalog, tagged_a));
+  apply_dynamics_overlay(row_b, dynamics_overlay_factors(catalog, tagged_b));
+  apply_dynamics_overlay(row_plain,
+                         dynamics_overlay_factors(catalog, untagged));
 
   bool any_moved = false;
   for (const metrics::MetricInfo& info : catalog.metrics()) {
@@ -225,8 +226,8 @@ TEST(Dynamics, DistinctEpisodesDistortInDistinctDirections) {
   ep2.anomaly_episode = 2;
   ep2.anomaly_intensity = 1.0;
   std::vector<double> row1 = base, row2 = base;
-  apply_dynamics_overlay(row1, catalog, ep1);
-  apply_dynamics_overlay(row2, catalog, ep2);
+  apply_dynamics_overlay(row1, dynamics_overlay_factors(catalog, ep1));
+  apply_dynamics_overlay(row2, dynamics_overlay_factors(catalog, ep2));
   std::size_t differing = 0;
   for (const metrics::MetricInfo& info : catalog.metrics()) {
     if (info.category == metrics::MetricCategory::kOccupancy) continue;

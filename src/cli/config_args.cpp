@@ -4,6 +4,8 @@
 #include <cmath>
 #include <string>
 
+#include "baselines/full_evaluator.hpp"
+#include "trace/scenario_io.hpp"
 #include "util/error.hpp"
 #include "util/seed_stream.hpp"
 
@@ -18,17 +20,65 @@ core::MetricSchema schema_by_name(const std::string& name) {
                    "' (standard|job-mix|temporal|job-mix-temporal)");
 }
 
-dcsim::MachineConfig machine_by_name(const std::string& name) {
-  if (name == "default") return dcsim::default_machine();
-  if (name == "small") return dcsim::small_machine();
-  if (name == "dense") return dcsim::dense_machine();
-  throw ParseError("unknown machine shape '" + name + "' (default|small|dense)");
+dcsim::ScenarioSet RunFleet::load(const std::string& path) const {
+  return trace::load_scenario_set(path, routed ? config.shape_names()
+                                               : std::vector<std::string>{});
 }
 
-std::optional<dcsim::FleetConfig> fleet_from(const Args& args) {
-  const std::string spec = args.get_string("shapes", "");
-  if (spec.empty()) return std::nullopt;
-  return dcsim::parse_fleet_spec(spec);
+dcsim::ScenarioSet RunFleet::route(dcsim::ScenarioSet set) const {
+  if (routed) return set;
+  set.machine_type = config.shapes.front().machine.name;
+  for (dcsim::ColocationScenario& s : set.scenarios) {
+    s.machine_type = set.machine_type;
+  }
+  return set;
+}
+
+RunFleet run_fleet_from(const Args& args, bool machine_flag) {
+  const std::string shapes = args.get_string("shapes", "");
+  const std::optional<std::string> machine =
+      machine_flag ? args.get_optional("machine") : std::nullopt;
+  if (!shapes.empty() && machine.has_value()) {
+    throw ParseError("--machine and --shapes are mutually exclusive: --shapes '" +
+                     shapes + "' already names every machine shape");
+  }
+  if (!shapes.empty()) return {dcsim::parse_fleet_spec(shapes), true};
+  dcsim::FleetConfig one_shape;
+  one_shape.shapes.push_back(
+      {dcsim::machine_shape_by_name(machine.value_or("default")), 1});
+  return {one_shape, false};
+}
+
+core::ShardedPipeline fit_fleet(const RunFleet& fleet,
+                                const core::FlareConfig& config,
+                                const dcsim::ScenarioSet& population) {
+  core::ShardedConfig sharded;
+  sharded.base = config;
+  sharded.fleet = fleet.config;
+  core::ShardedPipeline pipeline(sharded);
+  pipeline.fit(fleet.route(population));
+  return pipeline;
+}
+
+FleetTruth fleet_truth(const core::ShardedPipeline& pipeline,
+                       const core::Feature& feature) {
+  FleetTruth truth;
+  const std::vector<double> weights = pipeline.weights();
+  for (std::size_t i = 0; i < pipeline.num_shards(); ++i) {
+    const baselines::FullDatacenterEvaluator shard_truth(
+        pipeline.shard(i).impact_model(), pipeline.shard(i).scenario_set());
+    truth.per_shape.push_back(shard_truth.evaluate(feature).impact_pct);
+    truth.fleet += weights[i] * truth.per_shape.back();
+  }
+  return truth;
+}
+
+core::RefitPolicy refit_policy_from(const Args& args) {
+  const std::string name = args.get_string("refit-policy", "auto");
+  if (name == "auto") return core::RefitPolicy::kAuto;
+  if (name == "never") return core::RefitPolicy::kNever;
+  if (name == "always") return core::RefitPolicy::kAlways;
+  throw ParseError("unknown refit policy '" + name + "' (auto|never|always)");
 }
 
 std::size_t threads_from(const Args& args) {
@@ -97,8 +147,8 @@ void apply_replay_args(const Args& args, core::FlareConfig& config) {
          "--max-quarantined-mass must be in [0, 1]");
 }
 
-std::optional<dcsim::WorkloadDynamics> dynamics_from(
-    const Args& args, const std::optional<dcsim::FleetConfig>& fleet) {
+std::optional<dcsim::WorkloadDynamics> dynamics_from(const Args& args,
+                                                     const RunFleet& fleet) {
   const std::optional<std::string> spec = args.get_optional("dynamics");
   const std::optional<std::string> dynamics_seed =
       args.get_optional("dynamics-seed");
@@ -142,14 +192,14 @@ std::optional<dcsim::WorkloadDynamics> dynamics_from(
 
   // Contradiction 2: a generator scoped to a shape the run does not have.
   const std::vector<std::string> scopes = dynamics.shape_scopes();
-  if (!scopes.empty() && !fleet.has_value()) {
+  if (!scopes.empty() && !fleet.routed) {
     throw ParseError("--dynamics scopes a generator to shape '" +
                      scopes.front() +
                      "' but no --shapes fleet was given (single-shape runs "
                      "take unscoped generators only)");
   }
-  if (fleet.has_value()) {
-    const std::vector<std::string> names = fleet->shape_names();
+  if (fleet.routed) {
+    const std::vector<std::string> names = fleet.config.shape_names();
     for (const std::string& scope : scopes) {
       if (std::find(names.begin(), names.end(), scope) == names.end()) {
         std::string known;

@@ -7,8 +7,6 @@
 
 #include "cli/commands.hpp"
 #include "cli/config_args.hpp"
-#include "core/pipeline.hpp"
-#include "core/sharded_pipeline.hpp"
 #include "trace/journal.hpp"
 #include "trace/metric_io.hpp"
 #include "trace/scenario_io.hpp"
@@ -17,13 +15,6 @@
 
 namespace flare::cli {
 namespace {
-
-core::RefitPolicy refit_policy_by_name(const std::string& name) {
-  if (name == "auto") return core::RefitPolicy::kAuto;
-  if (name == "never") return core::RefitPolicy::kNever;
-  if (name == "always") return core::RefitPolicy::kAlways;
-  throw ParseError("unknown refit policy '" + name + "' (auto|never|always)");
-}
 
 core::PcaUpdatePolicy pca_update_by_name(const std::string& name) {
   if (name == "refit") return core::PcaUpdatePolicy::kRefit;
@@ -38,16 +29,20 @@ core::PcaUpdatePolicy pca_update_by_name(const std::string& name) {
 int run_ingest(const Args& args, std::ostream& out) {
   const std::string scenarios_path = args.require_string("scenarios");
   const std::string batch_path = args.require_string("batch");
-  const std::optional<dcsim::FleetConfig> fleet = fleet_from(args);
-  const core::RefitPolicy policy =
-      refit_policy_by_name(args.get_string("refit-policy", "auto"));
+  const RunFleet fleet = run_fleet_from(args);
+  const core::RefitPolicy policy = refit_policy_from(args);
   const std::string metrics_path = args.get_string("metrics", "");
   const bool commit = args.get_flag("commit");
   const bool journaled = args.get_flag("journal");
   const bool resume = args.get_flag("resume");
+  if (!metrics_path.empty() && !commit) {
+    throw ParseError("--metrics requires --commit");
+  }
+  ensure(metrics_path.empty() || !fleet.routed,
+         "ingest --shapes does not support --metrics (per-shape metric "
+         "archives are not wired up yet)");
 
   core::FlareConfig config;
-  config.machine = machine_by_name(args.get_string("machine", "default"));
   config.analyzer = analyzer_config_from(args);
   config.schema = schema_by_name(args.get_string("schema", "standard"));
   config.pca_update = pca_update_by_name(args.get_string("pca-update", "refit"));
@@ -88,128 +83,108 @@ int run_ingest(const Args& args, std::ostream& out) {
     }
   }
 
-  if (fleet.has_value()) {
-    // Sharded ingest: the batch routes per shape id; only touched shards run
-    // their drift gate (drift in one shape never refits another).
-    ensure(metrics_path.empty(),
-           "ingest --shapes does not support --metrics (per-shape metric "
-           "archives are not wired up yet)");
-    const dcsim::ScenarioSet base =
-        trace::load_scenario_set(scenarios_path, fleet->shape_names());
-    const dcsim::ScenarioSet batch =
-        trace::load_scenario_set(batch_path, fleet->shape_names());
-    core::ShardedConfig sharded;
-    sharded.base = config;
-    sharded.fleet = *fleet;
-    core::ShardedPipeline pipeline(sharded);
-    pipeline.fit(base);
-    std::size_t fitted_clusters = 0;
-    for (std::size_t i = 0; i < pipeline.num_shards(); ++i) {
-      fitted_clusters += pipeline.shard(i).analysis().chosen_k;
-    }
-    out << "fitted " << base.size() << " scenarios into " << fitted_clusters
-        << " behaviour groups across " << pipeline.num_shards() << " shards\n";
-
-    const core::FleetIngestReport report = pipeline.ingest(batch, policy);
-    for (std::size_t i = 0; i < pipeline.num_shards(); ++i) {
-      const std::string& name = fleet->shapes[i].machine.name;
-      if (!report.per_shape[i].has_value()) {
-        out << "shape " << name << ": untouched (no rows routed)\n";
-        continue;
-      }
-      const core::IngestReport& r = *report.per_shape[i];
-      out << "shape " << name << ": +" << r.appended << " rows, verdict "
-          << core::to_string(r.drift.verdict) << ", action "
-          << core::to_string(r.action) << ", pca drift "
-          << util::format_double(r.pca_drift, 6)
-          << (r.degraded ? ", degraded" : "") << "\n";
-    }
-    out << "fleet: " << report.appended << " rows routed to "
-        << report.shards_touched() << "/" << pipeline.num_shards()
-        << " shards\n";
-
-    if (commit) {
-      trace::append_scenario_set(batch, scenarios_path, journaled);
-      out << "appended " << batch.size() << " scenarios to " << scenarios_path
-          << "\n";
-    }
-    return 0;
+  const dcsim::ScenarioSet base = fleet.load(scenarios_path);
+  const dcsim::ScenarioSet batch = fleet.load(batch_path);
+  core::ShardedPipeline pipeline = fit_fleet(fleet, config, base);
+  std::size_t fitted_clusters = 0;
+  std::vector<core::StageCounters> before;
+  for (std::size_t i = 0; i < pipeline.num_shards(); ++i) {
+    fitted_clusters += pipeline.shard(i).analysis().chosen_k;
+    before.push_back(pipeline.shard(i).analysis().stage_counters);
   }
-
-  const dcsim::ScenarioSet base = trace::load_scenario_set(scenarios_path);
-  const dcsim::ScenarioSet batch = trace::load_scenario_set(batch_path);
-
-  core::FlarePipeline pipeline(config);
-  pipeline.fit(base);
-  out << "fitted " << base.size() << " scenarios into "
-      << pipeline.analysis().chosen_k << " behaviour groups\n";
-
-  const core::StageCounters before = pipeline.analysis().stage_counters;
-  const core::IngestReport report = pipeline.ingest(batch, policy);
-  const core::StageCounters after = pipeline.analysis().stage_counters;
-
-  out << "batch:  " << report.appended << " scenarios (rows "
-      << report.first_new_row << ".." << report.first_new_row + report.appended - 1
-      << ")\n\n";
-  out << "distance scale vs fitted:  "
-      << util::format_double(report.drift.distance_ratio, 2) << "x\n";
-  out << "out-of-coverage mass:      "
-      << util::format_double(100.0 * report.drift.out_of_coverage_fraction, 1)
-      << "%\n";
-  out << "cluster-weight shift (TV): "
-      << util::format_double(100.0 * report.drift.weight_shift, 1) << "%\n\n";
-  out << "pca basis drift (sin θ):   "
-      << util::format_double(report.pca_drift, 6)
-      << (report.pca_drift_escalated ? "  [escalated refit]" : "") << "\n\n";
-  out << "verdict: " << core::to_string(report.drift.verdict)
-      << "   action: " << core::to_string(report.action);
-  if (report.pca_incremental_refit) out << " (incremental pca)";
+  out << "fitted " << base.size() << " scenarios into " << fitted_clusters
+      << " behaviour groups";
+  if (fleet.routed) out << " across " << pipeline.num_shards() << " shards";
   out << "\n";
-  if (config.drift_response.enabled) {
-    out << "response: regime " << core::to_string(report.response.regime)
-        << ", statistic " << util::format_double(report.response.statistic, 3)
-        << ", ewma " << util::format_double(report.response.ewma, 3)
-        << ", cusum " << util::format_double(report.response.cusum, 3)
-        << (report.response.refit_suppressed ? "  [refit suppressed]" : "")
-        << "\n";
-    if (report.response.episode_rows > 0) {
-      out << "  episode fenced: " << report.response.episode_rows << " rows ("
-          << util::format_double(100.0 * report.response.episode_weight_fraction,
-                                 1)
-          << "% of batch weight, dispersion ratio "
-          << util::format_double(report.response.episode_dispersion_ratio, 3)
-          << ")\n";
+
+  // Under --shapes the batch routes per shape id and only the shards it
+  // touches run their drift gate: drift in one shape never refits another.
+  const core::FleetIngestReport ingested =
+      pipeline.ingest(fleet.route(batch), policy);
+  for (std::size_t i = 0; i < pipeline.num_shards(); ++i) {
+    const std::string& name = fleet.config.shapes[i].machine.name;
+    if (!ingested.per_shape[i].has_value()) {
+      out << "shape " << name << ": untouched (no rows routed)\n";
+      continue;
     }
-    if (report.response.staleness_widening_pp > 0.0) {
-      out << "  staleness: " << report.response.batches_since_refit
-          << " batches since refit, band widened +"
-          << util::format_double(report.response.staleness_widening_pp, 2)
-          << " pp\n";
+    const core::IngestReport& report = *ingested.per_shape[i];
+    const core::FlarePipeline& shard = pipeline.shard(i);
+    if (fleet.routed) {
+      out << "shape " << name << ": +" << report.appended << " rows, verdict "
+          << core::to_string(report.drift.verdict) << ", action "
+          << core::to_string(report.action) << ", pca drift "
+          << util::format_double(report.pca_drift, 6)
+          << (report.degraded ? ", degraded" : "") << "\n";
+    }
+    out << "batch:  " << report.appended << " scenarios (rows "
+        << report.first_new_row << ".."
+        << report.first_new_row + report.appended - 1 << ")\n\n";
+    out << "distance scale vs fitted:  "
+        << util::format_double(report.drift.distance_ratio, 2) << "x\n";
+    out << "out-of-coverage mass:      "
+        << util::format_double(100.0 * report.drift.out_of_coverage_fraction, 1)
+        << "%\n";
+    out << "cluster-weight shift (TV): "
+        << util::format_double(100.0 * report.drift.weight_shift, 1) << "%\n\n";
+    out << "pca basis drift (sin θ):   "
+        << util::format_double(report.pca_drift, 6)
+        << (report.pca_drift_escalated ? "  [escalated refit]" : "") << "\n\n";
+    out << "verdict: " << core::to_string(report.drift.verdict)
+        << "   action: " << core::to_string(report.action);
+    if (report.pca_incremental_refit) out << " (incremental pca)";
+    out << "\n";
+    if (config.drift_response.enabled) {
+      const core::DriftResponseReport& response = report.response;
+      out << "response: regime " << core::to_string(response.regime)
+          << ", statistic " << util::format_double(response.statistic, 3)
+          << ", ewma " << util::format_double(response.ewma, 3) << ", cusum "
+          << util::format_double(response.cusum, 3)
+          << (response.refit_suppressed ? "  [refit suppressed]" : "") << "\n";
+      if (response.episode_rows > 0) {
+        out << "  episode fenced: " << response.episode_rows << " rows ("
+            << util::format_double(100.0 * response.episode_weight_fraction, 1)
+            << "% of batch weight, dispersion ratio "
+            << util::format_double(response.episode_dispersion_ratio, 3)
+            << ")\n";
+      }
+      if (response.staleness_widening_pp > 0.0) {
+        out << "  staleness: " << response.batches_since_refit
+            << " batches since refit, band widened +"
+            << util::format_double(response.staleness_widening_pp, 2)
+            << " pp\n";
+      }
+    }
+    const core::StageCounters& after = shard.analysis().stage_counters;
+    out << "stage re-runs: refine " << after.refine - before[i].refine
+        << ", standardize " << after.standardize - before[i].standardize
+        << ", pca " << after.pca - before[i].pca << ", whiten "
+        << after.whiten - before[i].whiten << ", cluster "
+        << after.cluster - before[i].cluster << ", representatives "
+        << after.representatives - before[i].representatives
+        << ", pca-incremental "
+        << after.pca_incremental - before[i].pca_incremental << "\n";
+    out << "population: " << shard.scenario_set().size() << " scenarios, "
+        << shard.analysis().chosen_k << " behaviour groups\n";
+
+    if (report.degraded) {
+      out << "\nbatch health: degraded\n";
+      out << "  rows quarantined:   " << report.rows_quarantined << " ("
+          << util::format_double(100.0 * report.quarantined_weight_fraction, 1)
+          << "% of batch weight)"
+          << (report.quarantine_escalated ? "  [escalated refit]" : "") << "\n";
+      out << "  cells imputed:      " << report.imputed_cells << "\n";
+      out << "  samples retried:    " << report.retried_samples << "\n";
+      const core::QuarantineLedger& ledger = shard.analysis().quarantine;
+      out << "  population ledger:  " << ledger.quarantined_rows.size()
+          << " rows, "
+          << util::format_double(100.0 * ledger.quarantined_fraction(), 1)
+          << "% of weight mass quarantined\n";
     }
   }
-  out << "stage re-runs: refine " << after.refine - before.refine
-      << ", standardize " << after.standardize - before.standardize << ", pca "
-      << after.pca - before.pca << ", whiten " << after.whiten - before.whiten
-      << ", cluster " << after.cluster - before.cluster << ", representatives "
-      << after.representatives - before.representatives
-      << ", pca-incremental " << after.pca_incremental - before.pca_incremental
-      << "\n";
-  out << "population: " << pipeline.scenario_set().size() << " scenarios, "
-      << pipeline.analysis().chosen_k << " behaviour groups\n";
-
-  if (report.degraded) {
-    out << "\nbatch health: degraded\n";
-    out << "  rows quarantined:   " << report.rows_quarantined << " ("
-        << util::format_double(100.0 * report.quarantined_weight_fraction, 1)
-        << "% of batch weight)"
-        << (report.quarantine_escalated ? "  [escalated refit]" : "") << "\n";
-    out << "  cells imputed:      " << report.imputed_cells << "\n";
-    out << "  samples retried:    " << report.retried_samples << "\n";
-    const core::QuarantineLedger& ledger = pipeline.analysis().quarantine;
-    out << "  population ledger:  " << ledger.quarantined_rows.size()
-        << " rows, "
-        << util::format_double(100.0 * ledger.quarantined_fraction(), 1)
-        << "% of weight mass quarantined\n";
+  if (fleet.routed) {
+    out << "fleet: " << ingested.appended << " rows routed to "
+        << ingested.shards_touched() << "/" << pipeline.num_shards()
+        << " shards\n";
   }
 
   if (commit) {
@@ -217,19 +192,19 @@ int run_ingest(const Args& args, std::ostream& out) {
     out << "appended " << batch.size() << " scenarios to " << scenarios_path
         << "\n";
     if (!metrics_path.empty()) {
-      // Archive the freshly profiled rows too: the combined database's tail
-      // is exactly the batch, already re-id'd to continue the population.
-      metrics::MetricDatabase profiled(pipeline.database().catalog());
-      for (std::size_t r = report.first_new_row;
-           r < pipeline.database().num_rows(); ++r) {
-        profiled.add_row(pipeline.database().row(r));
+      // Archive the freshly profiled rows too (a plain run's one shard): the
+      // database's tail is exactly the batch, re-id'd to continue the
+      // population.
+      const metrics::MetricDatabase& db = pipeline.shard(0).database();
+      metrics::MetricDatabase profiled(db.catalog());
+      for (std::size_t r = ingested.per_shape[0]->first_new_row;
+           r < db.num_rows(); ++r) {
+        profiled.add_row(db.row(r));
       }
       trace::append_metric_database(profiled, metrics_path, journaled);
       out << "appended " << profiled.num_rows() << " metric rows to "
           << metrics_path << "\n";
     }
-  } else if (!metrics_path.empty()) {
-    throw ParseError("--metrics requires --commit");
   }
   return 0;
 }

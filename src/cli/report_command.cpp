@@ -1,20 +1,17 @@
 // `flare report`: the one-shot operator deliverable — fit FLARE on a scenario
 // trace, evaluate a set of features, and write a self-contained Markdown
 // report (datacenter summary, cluster inventory with interpretations,
-// per-feature estimates with optional ground-truth check).
+// per-feature estimates with optional ground-truth check; under --shapes
+// the fleet-wide fan-in first, then those sections per shape).
 #include <cmath>
 #include <fstream>
 #include <ostream>
 
-#include "baselines/full_evaluator.hpp"
 #include "cli/commands.hpp"
 #include "cli/config_args.hpp"
 #include "cli/feature_spec.hpp"
 #include "core/campaign.hpp"
-#include "core/pipeline.hpp"
-#include "core/sharded_pipeline.hpp"
 #include "trace/campaign_io.hpp"
-#include "trace/scenario_io.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -23,120 +20,24 @@ namespace {
 
 std::string pct(double value) { return util::format_double(value, 2) + " %"; }
 
-void write_report(std::ostream& md, core::FlarePipeline& pipeline,
-                  const dcsim::ScenarioSet& set,
-                  const std::vector<core::Feature>& features, bool with_truth) {
-  const core::AnalysisResult& analysis = pipeline.analysis();
+/// Every feature's estimate from the report's two evaluation passes: the
+/// estimates table reads `table`, the breakdown `breakdown`. Both passes
+/// replay, so the replay-attempt ledger counts each feature twice.
+struct ReportEstimates {
+  std::vector<core::FleetEstimate> table;
+  std::vector<core::FleetEstimate> breakdown;
+  std::vector<FleetTruth> truth;  ///< empty without --truth
+};
 
-  md << "# FLARE feature-evaluation report\n\n";
-  md << "## Datacenter\n\n";
-  md << "- machine shape: `" << pipeline.config().machine.name << "` ("
-     << pipeline.config().machine.cpu_model << ")\n";
-  md << "- distinct job co-location scenarios: " << set.size() << "\n";
-  md << "- raw metrics: " << pipeline.database().num_metrics() << " → "
-     << analysis.kept_columns.size() << " after refinement\n";
-  md << "- high-level metrics (PCs): " << analysis.num_components
-     << " explaining "
-     << util::format_double(100.0 * analysis.pca.cumulative_explained_variance(
-                                        analysis.num_components),
-                            1)
-     << " % of variance\n";
-  md << "- behaviour groups: " << analysis.chosen_k << "\n\n";
-
-  md << "## Representative scenarios\n\n";
-  md << "| cluster | weight | interpretation of strongest PC | representative mix |\n";
-  md << "|---|---|---|---|\n";
-  for (std::size_t c = 0; c < analysis.chosen_k; ++c) {
-    // The PC with the largest |centroid coordinate| characterises the group.
-    std::size_t strongest = 0;
-    for (std::size_t d = 1; d < analysis.cluster_space.cols(); ++d) {
-      if (std::abs(analysis.clustering.centroids(c, d)) >
-          std::abs(analysis.clustering.centroids(c, strongest))) {
-        strongest = d;
-      }
-    }
-    const std::string& label =
-        strongest < analysis.interpretations.size()
-            ? analysis.interpretations[strongest].label
-            : "(beyond labelled components)";
-    md << "| " << c << " | "
-       << util::format_double(100.0 * analysis.cluster_weights[c], 1) << " % | PC"
-       << strongest << ": " << label << " | `"
-       << set.scenarios[analysis.representatives[c]].mix.key() << "` |\n";
-  }
-
-  md << "\n## Feature estimates\n\n";
-  md << "| feature | estimate";
-  if (with_truth) md << " | datacenter truth | abs. error";
-  md << " | replays |\n|---|---";
-  if (with_truth) md << "|---|---";
-  md << "|---|\n";
-  for (const core::Feature& feature : features) {
-    const core::FeatureEstimate est = pipeline.evaluate(feature);
-    md << "| " << feature.name() << " | " << pct(est.impact_pct);
-    if (with_truth) {
-      const baselines::FullDatacenterEvaluator truth(pipeline.impact_model(), set);
-      const double dc = truth.evaluate(feature).impact_pct;
-      md << " | " << pct(dc) << " | "
-         << util::format_double(std::abs(est.impact_pct - dc), 2) << " pp";
-    }
-    md << " | " << analysis.chosen_k << " |\n";
-  }
-
-  // With replay faults injected the breakdown grows a provenance column and a
-  // campaign-health line; without them the report stays byte-identical to the
-  // failure-free layout.
-  const bool replay_faults = pipeline.config().replay_faults.enabled;
-  md << "\n## Per-feature behaviour breakdown\n\n";
-  for (const core::Feature& feature : features) {
-    const core::FeatureEstimate est = pipeline.evaluate(feature);
-    md << "### " << feature.name() << "\n\n" << feature.description() << "\n\n";
-    if (replay_faults) {
-      md << "| cluster | weight | impact | replay |\n|---|---|---|---|\n";
-    } else {
-      md << "| cluster | weight | impact |\n|---|---|---|\n";
-    }
-    for (const core::ClusterImpact& ci : est.per_cluster) {
-      md << "| " << ci.cluster << " | "
-         << util::format_double(100.0 * ci.weight, 1) << " % | "
-         << pct(ci.impact_pct);
-      if (replay_faults) {
-        md << " | " << core::to_string(ci.status) << " ("
-           << ci.attempts << " attempts)";
-      }
-      md << " |\n";
-    }
-    md << "\n";
-    if (replay_faults) {
-      const core::ReplayLedger& ledger = est.replay;
-      md << "Replay health: " << ledger.total_attempts << " attempts ("
-         << ledger.failed_attempts << " failed, " << ledger.fallback_probes
-         << " fallback probes); mass direct "
-         << util::format_double(100.0 * ledger.direct_mass, 1) << " % / fallback "
-         << util::format_double(100.0 * ledger.fallback_mass, 1)
-         << " % / quarantined "
-         << util::format_double(100.0 * ledger.quarantined_mass, 1)
-         << " %; extra uncertainty ±"
-         << util::format_double(ledger.measurement_uncertainty_pp +
-                                    ledger.quarantine_widening_pp,
-                                2)
-         << " pp; simulated testbed time "
-         << util::format_double(ledger.simulated_seconds / 3600.0, 1) << " h.\n\n";
-    }
-  }
-  md << "---\nGenerated by `flare report` — representative-scenario "
-        "evaluation after Lee et al., Middleware '23.\n";
-}
-
-// Fleet-mode report: one section per shape, per-feature fleet estimates with
-// the per-shape breakdown, and the fan-in mass line (paper §5.5).
-void write_fleet_report(std::ostream& md, core::ShardedPipeline& pipeline,
-                        const std::vector<core::Feature>& features,
-                        bool with_truth) {
+// Fleet sections (--shapes only): the shape table, per-feature fleet
+// estimates, and each feature's per-shape breakdown with the fan-in mass line
+// (paper §5.5).
+void write_fleet_sections(std::ostream& md, const core::ShardedPipeline& pipeline,
+                          const std::vector<core::Feature>& features,
+                          const ReportEstimates& est) {
   const dcsim::FleetConfig& fleet = pipeline.fleet();
   const std::vector<double> weights = pipeline.weights();
-
-  md << "# FLARE fleet feature-evaluation report\n\n";
+  const bool with_truth = !est.truth.empty();
   md << "## Fleet\n\n";
   md << "| shape | machines | weight | scenarios | behaviour groups |\n";
   md << "|---|---|---|---|---|\n";
@@ -158,35 +59,30 @@ void write_fleet_report(std::ostream& md, core::ShardedPipeline& pipeline,
   md << " | replays |\n|---|---";
   if (with_truth) md << "|---|---";
   md << "|---|\n";
-  for (const core::Feature& feature : features) {
-    const core::FleetEstimate est = pipeline.evaluate(feature);
-    md << "| " << feature.name() << " | " << pct(est.impact_pct);
+  for (std::size_t f = 0; f < features.size(); ++f) {
+    const core::FleetEstimate& fe = est.table[f];
+    md << "| " << features[f].name() << " | " << pct(fe.impact_pct);
     if (with_truth) {
-      double truth = 0.0;
-      for (std::size_t i = 0; i < pipeline.num_shards(); ++i) {
-        const baselines::FullDatacenterEvaluator shard_truth(
-            pipeline.shard(i).impact_model(),
-            pipeline.shard(i).scenario_set());
-        truth += weights[i] * shard_truth.evaluate(feature).impact_pct;
-      }
-      md << " | " << pct(truth) << " | "
-         << util::format_double(std::abs(est.impact_pct - truth), 2) << " pp";
+      md << " | " << pct(est.truth[f].fleet) << " | "
+         << util::format_double(std::abs(fe.impact_pct - est.truth[f].fleet), 2)
+         << " pp";
     }
-    md << " | " << est.scenario_replays << " |\n";
+    md << " | " << fe.scenario_replays << " |\n";
   }
 
   md << "\n## Per-shape breakdown\n\n";
-  for (const core::Feature& feature : features) {
-    const core::FleetEstimate est = pipeline.evaluate(feature);
-    md << "### " << feature.name() << "\n\n" << feature.description() << "\n\n";
+  for (std::size_t f = 0; f < features.size(); ++f) {
+    const core::FleetEstimate& fe = est.breakdown[f];
+    md << "### " << features[f].name() << "\n\n"
+       << features[f].description() << "\n\n";
     md << "| shape | weight | impact | contribution |\n|---|---|---|---|\n";
-    for (const core::ShardFeatureEstimate& s : est.per_shape) {
+    for (const core::ShardFeatureEstimate& s : fe.per_shape) {
       md << "| `" << s.shape << "` | "
          << util::format_double(100.0 * s.weight, 1) << " % | "
          << pct(s.estimate.impact_pct) << " | "
          << pct(s.weight * s.estimate.impact_pct) << " |\n";
     }
-    const core::ReplayLedger& ledger = est.replay;
+    const core::ReplayLedger& ledger = fe.replay;
     md << "\nFan-in mass: direct "
        << util::format_double(100.0 * ledger.direct_mass, 1) << " % / fallback "
        << util::format_double(100.0 * ledger.fallback_mass, 1)
@@ -195,8 +91,116 @@ void write_fleet_report(std::ostream& md, core::ShardedPipeline& pipeline,
        << " % (total "
        << util::format_double(100.0 * ledger.total_mass(), 1) << " %).\n\n";
   }
-  md << "---\nGenerated by `flare report --shapes` — sharded heterogeneous-"
-        "fleet evaluation after Lee et al., Middleware '23 §5.5.\n";
+}
+
+// One shape's sections: datacenter summary, cluster inventory with
+// interpretations, per-feature estimates and behaviour breakdown. `suffix`
+// names the shape in each heading under --shapes and is empty otherwise.
+void write_shape_sections(std::ostream& md, const core::ShardedPipeline& pipeline,
+                          std::size_t shard_index,
+                          const std::vector<core::Feature>& features,
+                          const ReportEstimates& est, const std::string& suffix) {
+  const core::FlarePipeline& shard = pipeline.shard(shard_index);
+  const core::AnalysisResult& analysis = shard.analysis();
+  const dcsim::ScenarioSet& set = shard.scenario_set();
+  const bool with_truth = !est.truth.empty();
+
+  md << "## Datacenter" << suffix << "\n\n";
+  md << "- machine shape: `" << shard.config().machine.name << "` ("
+     << shard.config().machine.cpu_model << ")\n";
+  md << "- distinct job co-location scenarios: " << set.size() << "\n";
+  md << "- raw metrics: " << shard.database().num_metrics() << " → "
+     << analysis.kept_columns.size() << " after refinement\n";
+  md << "- high-level metrics (PCs): " << analysis.num_components
+     << " explaining "
+     << util::format_double(100.0 * analysis.pca.cumulative_explained_variance(
+                                        analysis.num_components),
+                            1)
+     << " % of variance\n";
+  md << "- behaviour groups: " << analysis.chosen_k << "\n\n";
+
+  md << "## Representative scenarios" << suffix << "\n\n";
+  md << "| cluster | weight | interpretation of strongest PC | representative mix |\n";
+  md << "|---|---|---|---|\n";
+  for (std::size_t c = 0; c < analysis.chosen_k; ++c) {
+    // The PC with the largest |centroid coordinate| characterises the group.
+    std::size_t strongest = 0;
+    for (std::size_t d = 1; d < analysis.cluster_space.cols(); ++d) {
+      if (std::abs(analysis.clustering.centroids(c, d)) >
+          std::abs(analysis.clustering.centroids(c, strongest))) {
+        strongest = d;
+      }
+    }
+    const std::string& label =
+        strongest < analysis.interpretations.size()
+            ? analysis.interpretations[strongest].label
+            : "(beyond labelled components)";
+    md << "| " << c << " | "
+       << util::format_double(100.0 * analysis.cluster_weights[c], 1) << " % | PC"
+       << strongest << ": " << label << " | `"
+       << set.scenarios[analysis.representatives[c]].mix.key() << "` |\n";
+  }
+
+  md << "\n## Feature estimates" << suffix << "\n\n";
+  md << "| feature | estimate";
+  if (with_truth) md << " | datacenter truth | abs. error";
+  md << " | replays |\n|---|---";
+  if (with_truth) md << "|---|---";
+  md << "|---|\n";
+  for (std::size_t f = 0; f < features.size(); ++f) {
+    const core::FeatureEstimate& fe = est.table[f].per_shape[shard_index].estimate;
+    md << "| " << features[f].name() << " | " << pct(fe.impact_pct);
+    if (with_truth) {
+      const double dc = est.truth[f].per_shape[shard_index];
+      md << " | " << pct(dc) << " | "
+         << util::format_double(std::abs(fe.impact_pct - dc), 2) << " pp";
+    }
+    md << " | " << analysis.chosen_k << " |\n";
+  }
+
+  // With replay faults injected the breakdown grows a provenance column and a
+  // campaign-health line; without them the report stays byte-identical to the
+  // failure-free layout.
+  const bool replay_faults = shard.config().replay_faults.enabled;
+  md << "\n## Per-feature behaviour breakdown" << suffix << "\n\n";
+  for (std::size_t f = 0; f < features.size(); ++f) {
+    const core::FeatureEstimate& fe =
+        est.breakdown[f].per_shape[shard_index].estimate;
+    md << "### " << features[f].name() << "\n\n"
+       << features[f].description() << "\n\n";
+    if (replay_faults) {
+      md << "| cluster | weight | impact | replay |\n|---|---|---|---|\n";
+    } else {
+      md << "| cluster | weight | impact |\n|---|---|---|\n";
+    }
+    for (const core::ClusterImpact& ci : fe.per_cluster) {
+      md << "| " << ci.cluster << " | "
+         << util::format_double(100.0 * ci.weight, 1) << " % | "
+         << pct(ci.impact_pct);
+      if (replay_faults) {
+        md << " | " << core::to_string(ci.status) << " ("
+           << ci.attempts << " attempts)";
+      }
+      md << " |\n";
+    }
+    md << "\n";
+    if (replay_faults) {
+      const core::ReplayLedger& ledger = fe.replay;
+      md << "Replay health: " << ledger.total_attempts << " attempts ("
+         << ledger.failed_attempts << " failed, " << ledger.fallback_probes
+         << " fallback probes); mass direct "
+         << util::format_double(100.0 * ledger.direct_mass, 1) << " % / fallback "
+         << util::format_double(100.0 * ledger.fallback_mass, 1)
+         << " % / quarantined "
+         << util::format_double(100.0 * ledger.quarantined_mass, 1)
+         << " %; extra uncertainty ±"
+         << util::format_double(ledger.measurement_uncertainty_pp +
+                                    ledger.quarantine_widening_pp,
+                                2)
+         << " pp; simulated testbed time "
+         << util::format_double(ledger.simulated_seconds / 3600.0, 1) << " h.\n\n";
+    }
+  }
 }
 
 // Campaign-mode report: answer from an archived CampaignState (written by
@@ -287,9 +291,8 @@ int run_report(const Args& args, std::ostream& out) {
   const std::string out_path = args.require_string("out");
   const std::string feature_list = args.get_string("features", "feature1;feature2;feature3");
   const bool with_truth = args.get_flag("truth");
-  const std::optional<dcsim::FleetConfig> fleet = fleet_from(args);
+  const RunFleet fleet = run_fleet_from(args);
   core::FlareConfig config;
-  config.machine = machine_by_name(args.get_string("machine", "default"));
   const long long clusters = args.get_int("clusters", 18);
   ensure(clusters >= 2, "--clusters must be >= 2");
   config.analyzer.fixed_clusters = static_cast<std::size_t>(clusters);
@@ -306,49 +309,55 @@ int run_report(const Args& args, std::ostream& out) {
   }
   ensure(!features.empty(), "report: no features given");
 
-  if (fleet.has_value()) {
-    const dcsim::ScenarioSet mixed =
-        trace::load_scenario_set(scenarios_path, fleet->shape_names());
-    core::ShardedConfig sharded;
-    sharded.base = config;
-    sharded.fleet = *fleet;
-    core::ShardedPipeline pipeline(sharded);
-    pipeline.fit(mixed);
-
-    std::ofstream md(out_path);
-    ensure(static_cast<bool>(md),
-           "report: cannot open output file: " + out_path);
-    write_fleet_report(md, pipeline, features, with_truth);
-    ensure(static_cast<bool>(md), "report: write failed: " + out_path);
-
-    std::size_t representatives = 0;
-    for (std::size_t i = 0; i < pipeline.num_shards(); ++i) {
-      representatives += pipeline.shard(i).analysis().chosen_k;
-    }
-    out << "evaluated " << features.size() << " feature(s) on "
-        << representatives << " representatives across "
-        << pipeline.num_shards() << " shards ("
-        << pipeline.scenario_replays() << " replays total)\n";
-    out << "wrote " << out_path << "\n";
-    return 0;
+  core::ShardedPipeline pipeline =
+      fit_fleet(fleet, config, fleet.load(scenarios_path));
+  ReportEstimates est;
+  for (const core::Feature& feature : features) {
+    est.table.push_back(pipeline.evaluate(feature));
+    if (with_truth) est.truth.push_back(fleet_truth(pipeline, feature));
+  }
+  for (const core::Feature& feature : features) {
+    est.breakdown.push_back(pipeline.evaluate(feature));
   }
 
-  const dcsim::ScenarioSet set = trace::load_scenario_set(scenarios_path);
-  core::FlarePipeline pipeline(config);
-  pipeline.fit(set);
-
+  // Under --shapes the fleet sections come first, then every shape's own
+  // sections; a plain run is its one shape's sections.
   std::ofstream md(out_path);
   ensure(static_cast<bool>(md), "report: cannot open output file: " + out_path);
-  write_report(md, pipeline, set, features, with_truth);
+  md << (fleet.routed ? "# FLARE fleet feature-evaluation report\n\n"
+                      : "# FLARE feature-evaluation report\n\n");
+  if (fleet.routed) write_fleet_sections(md, pipeline, features, est);
+  for (std::size_t i = 0; i < pipeline.num_shards(); ++i) {
+    const std::string& shape = fleet.config.shapes[i].machine.name;
+    write_shape_sections(md, pipeline, i, features, est,
+                         fleet.routed ? " (shape `" + shape + "`)" : "");
+  }
+  md << (fleet.routed ? "---\nGenerated by `flare report --shapes` — sharded "
+                        "heterogeneous-fleet evaluation after Lee et al., "
+                        "Middleware '23 §5.5.\n"
+                      : "---\nGenerated by `flare report` — "
+                        "representative-scenario evaluation after Lee et al., "
+                        "Middleware '23.\n");
   ensure(static_cast<bool>(md), "report: write failed: " + out_path);
 
+  std::size_t representatives = 0;
+  std::size_t attempts = 0;
+  std::size_t failed = 0;
+  double testbed_seconds = 0.0;
+  for (std::size_t i = 0; i < pipeline.num_shards(); ++i) {
+    const core::FlarePipeline& shard = pipeline.shard(i);
+    representatives += shard.analysis().chosen_k;
+    attempts += shard.replayer().total_replays();
+    failed += shard.replayer().failed_replays();
+    testbed_seconds += shard.replayer().simulated_seconds();
+  }
   out << "evaluated " << features.size() << " feature(s) on "
-      << pipeline.analysis().chosen_k << " representatives ("
-      << pipeline.scenario_replays() << " replays total)\n";
+      << representatives << " representatives";
+  if (fleet.routed) out << " across " << pipeline.num_shards() << " shards";
+  out << " (" << pipeline.scenario_replays() << " replays total)\n";
   if (config.replay_faults.enabled) {
-    out << "replay attempts: " << pipeline.replayer().total_replays() << " ("
-        << pipeline.replayer().failed_replays() << " failed, "
-        << util::format_double(pipeline.replayer().simulated_seconds() / 3600.0, 1)
+    out << "replay attempts: " << attempts << " (" << failed << " failed, "
+        << util::format_double(testbed_seconds / 3600.0, 1)
         << " h simulated testbed time)\n";
   }
   out << "wrote " << out_path << "\n";

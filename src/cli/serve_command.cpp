@@ -8,6 +8,7 @@
 
 #include "cli/commands.hpp"
 #include "cli/config_args.hpp"
+#include "dcsim/fleet.hpp"
 #include "serve/client.hpp"
 #include "serve/daemon.hpp"
 #include "trace/scenario_io.hpp"
@@ -15,16 +16,6 @@
 #include "util/strings.hpp"
 
 namespace flare::cli {
-namespace {
-
-core::RefitPolicy serve_refit_policy_by_name(const std::string& name) {
-  if (name == "auto") return core::RefitPolicy::kAuto;
-  if (name == "never") return core::RefitPolicy::kNever;
-  if (name == "always") return core::RefitPolicy::kAlways;
-  throw ParseError("unknown refit policy '" + name + "' (auto|never|always)");
-}
-
-}  // namespace
 
 int run_serve(const Args& args, std::ostream& out) {
   serve::DaemonConfig config;
@@ -32,7 +23,8 @@ int run_serve(const Args& args, std::ostream& out) {
   config.state_dir = args.require_string("state-dir");
   const std::string scenarios_path = args.require_string("scenarios");
 
-  config.flare.machine = machine_by_name(args.get_string("machine", "default"));
+  config.flare.machine =
+      dcsim::machine_shape_by_name(args.get_string("machine", "default"));
   config.flare.analyzer = analyzer_config_from(args);
   config.flare.schema = schema_by_name(args.get_string("schema", "standard"));
   config.flare.profiler.samples_per_scenario =
@@ -43,8 +35,7 @@ int run_serve(const Args& args, std::ostream& out) {
   config.flare.profiler.threads = config.flare.threads;
   apply_replay_args(args, config.flare);
   apply_drift_response_args(args, config.flare);
-  config.refit =
-      serve_refit_policy_by_name(args.get_string("refit-policy", "auto"));
+  config.refit = refit_policy_from(args);
 
   const long long max_ingest = args.get_int("max-ingest-queue", 64);
   const long long max_eval = args.get_int("max-eval-queue", 64);

@@ -232,6 +232,27 @@ TEST_F(CliIngestTest, MetricsArchiveRequiresCommit) {
   EXPECT_NE(err.find("--metrics requires --commit"), std::string::npos);
 }
 
+TEST(CliErrors, MetricsWithoutCommitIsRejectedBeforeAnyTraceIsLoaded) {
+  // Neither trace exists: the flag check must come first.
+  std::string err;
+  EXPECT_EQ(run({"ingest", "--scenarios", "/no/such.csv", "--batch",
+                 "/no/such_batch.csv", "--metrics", "/no/such_metrics.csv"},
+                nullptr, &err),
+            2);
+  EXPECT_NE(err.find("--metrics requires --commit"), std::string::npos) << err;
+}
+
+TEST(CliErrors, MemoryBudgetRequiresMmapStorage) {
+  std::string err;
+  EXPECT_EQ(run({"analyze", "--metrics", "/no/such.csv", "--memory-budget",
+                 "64"},
+                nullptr, &err),
+            2);
+  EXPECT_NE(err.find("--memory-budget requires --storage mmap"),
+            std::string::npos)
+      << err;
+}
+
 TEST(CliErrors, UnknownCommand) {
   std::string err;
   EXPECT_EQ(run({"frobnicate"}, nullptr, &err), 2);

@@ -40,7 +40,7 @@ std::string csv_of(const dcsim::ScenarioSet& set) {
 /// A batch big enough that its profiler pass keeps the ingest worker busy
 /// for a long, schedule-independent window — the wedge the overload and
 /// queue-timeout tests hide behind.
-dcsim::ScenarioSet slow_batch() { return make_set(200, 31); }
+dcsim::ScenarioSet slow_batch() { return make_set(1000, 31); }
 
 TEST(ServeDaemon, FreshStartServesInlineStatus) {
   TempTree tree("serve_daemon_status");
